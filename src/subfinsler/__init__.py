@@ -37,14 +37,10 @@ from .convex import (
     SumNorm,
     as_polyhedron,
     check_duality_inversion,
-    convexity_class,
     dual_energy,
-    dual_norm,
     energy,
     make_norm,
     norm_from_json,
-    subdiff_dual_energy,
-    subdiff_energy,
 )
 from .polyhedra import (
     Face,
@@ -56,7 +52,6 @@ from .polyhedra import (
     regular_polygon_ball,
 )
 from .groups import (
-    Ad,
     GroupChartError,
     GroupSpec,
     SubmetryData,
@@ -90,7 +85,7 @@ from .flow import (
     check_constant_speed,
     detect_branching,
     dual_derivative,
-    dual_point,
+    integrate,
     integrate_polyhedral,
     integrate_smooth,
     lift_curve,

@@ -16,8 +16,10 @@ common dual-sphere point, hence lie in a common closed face.
 :func:`verify_face_stability` checks that conclusion window by window
 on an integrated trajectory, :func:`finsler_short_bound` turns it into
 a geodesic statement for short curves, :func:`abelianized_minimality`
-applies the same window logic to the projected curve in the
-abelianization, and :func:`vertical_shortcut` constructs the explicit
+applies the same window check to the curve projected to the
+abelianization (it reads the curve's own face history, which the
+projection preserves when its differential is invertible on the
+polarization), and :func:`vertical_shortcut` constructs the explicit
 quadrilateral path that beats the central one-parameter subgroup.
 """
 
@@ -321,47 +323,34 @@ def abelianized_minimality(sub: groups.SubmetryData, traj: flow.Trajectory,
                            ) -> StabilityCertificate:
     """Windowed face check for the projected curve in the abelianization.
 
-    The projected ball is a polytope with its own covering bound
-    ``delta``; with ``alpha = delta / M(1)`` the projected controls stay
-    within a common face on every window of length
-    ``alpha / N*(lam)``, which makes the projected curve, and hence the
-    curve itself, minimizing on such windows.
+    ``dpi`` restricted to the polarization must be square and
+    invertible.  It then maps the velocity ball linearly onto the
+    projected ball, so the faces of the two balls correspond one to one,
+    the covering bound ``delta`` is the same for both, and the projected
+    controls change face exactly when the curve's own controls do.  The
+    window check therefore runs on the curve's own face history: with
+    ``alpha = delta / M(1)`` the projected controls stay within a common
+    face on every window of length ``alpha / N*(lam)``, which makes the
+    projected curve, and hence the curve itself, minimizing on such
+    windows.  The certificate reports the projected covector.
     """
+    dpi_v = sub.dpi_on_polarization(traj.polarization)
+    if (dpi_v.shape[0] != dpi_v.shape[1]
+            or np.linalg.matrix_rank(dpi_v, tol=1e-12) < dpi_v.shape[0]):
+        raise ValueError("the differential of the submetry is not "
+                         "invertible on the polarization")
     spec = sub.source
     if n_norm is None:
         n_norm = convex.MaxNorm(spec.dim)
-    pushed = groups.pushforward_norm(sub, traj.norm, traj.polarization)
-    ball = convex.as_polyhedron(pushed)
-    delta = ball.star_covering().delta
+    delta = convex.as_polyhedron(traj.norm).star_covering().delta
     m_est = adjoint_bracket_bound(spec, 1.0, n_norm=n_norm,
                                   polarization=traj.polarization)
     lam_dual = n_norm.dual_value(traj.lam)
     alpha = delta if m_est.value == 0.0 else delta / m_est.value
-    window = alpha / lam_dual
-    dpi_v = sub.dpi_on_polarization(traj.polarization)
-
-    # Rebuild the trajectory data in the quotient: projected controls,
-    # projected dual points, projected faces.
-    proj_controls = traj.controls @ dpi_v.T
-    n = len(traj.times)
-    face_ids = np.array([ball.face_of(w).fid if np.any(w) else -1
-                         for w in proj_controls])
-    events = []
-    current = int(face_ids[0])
-    for i in range(1, n):
-        if int(face_ids[i]) != current:
-            events.append(flow.FaceEvent(float(traj.times[i]), current,
-                                         int(face_ids[i])))
-            current = int(face_ids[i])
-    proj = flow.Trajectory(
-        group=sub.target, norm=pushed, polarization=sub.target.polarization,
-        lam=dpi_v @ traj.lam[list(traj.polarization)], times=traj.times,
-        points=traj.points, controls=proj_controls,
-        duals=np.array([w for w in proj_controls]), face_ids=face_ids,
-        speed=pushed.value(proj_controls[0]), events=events,
-        rule=traj.rule, step=traj.step)
-    cert = verify_face_stability(proj, window, m_est, delta, lam_dual)
+    cert = verify_face_stability(traj, alpha / lam_dual, m_est, delta,
+                                 lam_dual)
     cert.kind = "abelianized-minimality"
+    cert.lam = dpi_v @ traj.lam[list(traj.polarization)]
     return cert
 
 

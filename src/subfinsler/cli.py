@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import certify, convex, flow, groups
+from .polyhedra import Polyhedron
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -111,15 +112,11 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _integrate(cfg: ScenarioConfig, spec: groups.GroupSpec,
-               norm: convex.Norm, lam: np.ndarray) -> flow.Trajectory:
-    pol = cfg.pol(spec)
-    if norm.convexity_class == "polyhedral":
-        return flow.integrate_polyhedral(spec, norm, lam, cfg.t_end,
-                                         cfg.step, polarization=pol,
-                                         rule=cfg.rule)
-    return flow.integrate_smooth(spec, norm, lam, cfg.t_end, cfg.step,
-                                 polarization=pol)
+def _polytope_ball(norm: convex.Norm) -> Polyhedron:
+    try:
+        return convex.as_polyhedron(norm)
+    except convex.NormError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 def _covector(cfg: ScenarioConfig, spec: groups.GroupSpec,
@@ -140,7 +137,9 @@ def _covector(cfg: ScenarioConfig, spec: groups.GroupSpec,
 def _cmd_integrate(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
     spec = cfg.build_group()
     norm = cfg.build_norm()
-    traj = _integrate(cfg, spec, norm, _covector(cfg, spec, cfg.covector))
+    traj = flow.integrate(spec, norm, _covector(cfg, spec, cfg.covector),
+                          cfg.t_end, cfg.step, polarization=cfg.pol(spec),
+                          rule=cfg.rule)
     flow.write_trajectory_csv(traj, out / f"{cfg.name}_trajectory.csv")
     meta = traj.meta_dict()
     meta["speed_check"] = flow.check_constant_speed(traj)
@@ -154,10 +153,14 @@ def _cmd_integrate(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
 def _cmd_branch(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
     spec = cfg.build_group()
     norm = cfg.build_norm()
-    first = _integrate(cfg, spec, norm, _covector(cfg, spec, cfg.covector))
+    first = flow.integrate(spec, norm, _covector(cfg, spec, cfg.covector),
+                           cfg.t_end, cfg.step, polarization=cfg.pol(spec),
+                           rule=cfg.rule)
     if cfg.covector_b is not None:
-        second = _integrate(cfg, spec, norm,
-                            _covector(cfg, spec, cfg.covector_b))
+        second = flow.integrate(spec, norm,
+                                _covector(cfg, spec, cfg.covector_b),
+                                cfg.t_end, cfg.step,
+                                polarization=cfg.pol(spec), rule=cfg.rule)
     elif cfg.reference_direction is not None:
         second = flow.subgroup_trajectory(
             spec, norm, first.lam,
@@ -181,13 +184,19 @@ def _cmd_branch(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
 def _cmd_certify(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
     spec = cfg.build_group()
     norm = cfg.build_norm()
-    traj = _integrate(cfg, spec, norm, _covector(cfg, spec, cfg.covector))
+    _polytope_ball(norm)
+    if cfg.abelianized and spec.name != "heisenberg":
+        raise ScenarioError("abelianized check is defined for the "
+                            "heisenberg scenarios")
+    traj = flow.integrate(spec, norm, _covector(cfg, spec, cfg.covector),
+                          cfg.t_end, cfg.step, polarization=cfg.pol(spec),
+                          rule=cfg.rule)
     if cfg.abelianized:
-        if spec.name != "heisenberg":
-            raise ScenarioError("abelianized check is defined for the "
-                                "heisenberg scenarios")
-        cert = certify.abelianized_minimality(
-            groups.heisenberg_abelianization(), traj)
+        try:
+            cert = certify.abelianized_minimality(
+                groups.heisenberg_abelianization(), traj)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
     else:
         cert = certify.certify_trajectory(traj, window=cfg.window)
     flow.write_trajectory_csv(traj, out / f"{cfg.name}_trajectory.csv")
@@ -220,11 +229,7 @@ def _cmd_shortcut(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
 
 
 def _cmd_faces(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
-    norm = cfg.build_norm()
-    try:
-        ball = convex.as_polyhedron(norm)
-    except convex.NormError as exc:
-        raise ScenarioError(str(exc)) from exc
+    ball = _polytope_ball(cfg.build_norm())
     covering = ball.star_covering()
     payload = {
         "scenario": cfg.name,

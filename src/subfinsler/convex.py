@@ -727,22 +727,6 @@ def dual_energy(norm: Norm, eta: Covector) -> float:
     return 0.5 * n * n
 
 
-def dual_norm(norm: Norm, eta: Covector) -> float:
-    return norm.dual_value(eta)
-
-
-def subdiff_energy(norm: Norm, u: Vector) -> ConvexSet:
-    return norm.subdiff_energy(u)
-
-
-def subdiff_dual_energy(norm: Norm, eta: Covector) -> ConvexSet:
-    return norm.subdiff_dual_energy(eta)
-
-
-def convexity_class(norm: Norm) -> str:
-    return norm.convexity_class
-
-
 def check_duality_inversion(norm: Norm, u: Vector, eta: Covector,
                             tol: float = MEMBERSHIP_TOL
                             ) -> tuple[bool, bool, bool]:

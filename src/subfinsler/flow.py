@@ -9,15 +9,16 @@ A normal curve for a covector ``lam`` solves
 where ``r`` is the dual norm of the restricted covector, conserved
 along the curve together with the pairing ``<xi, u> = r**2``.
 
-Two integrators are provided.  :func:`integrate_smooth` handles norms
-with single-valued dual gradients by a fourth-order Runge-Kutta step on
-the chart matrix, recording crossings between smooth regimes of the
-dual energy.  :func:`integrate_polyhedral` handles polytope balls by
-exact subgroup arcs: between face events the maximizing control is
-constant, so each step is one closed-form exponential, and event times
-are localized by bisection.  Where the exposed face is set-valued a
-selection rule picks the control; several rules are provided because
-normal data does not determine the control there.
+Two integrators are provided, and :func:`integrate` picks the one a
+norm needs.  :func:`integrate_smooth` handles norms with single-valued
+dual gradients by a fourth-order Runge-Kutta step on the chart matrix,
+recording crossings between smooth regimes of the dual energy.
+:func:`integrate_polyhedral` handles polytope balls by exact subgroup
+arcs: between face events the maximizing control is constant, so each
+step is one closed-form exponential, and event times are localized by
+bisection.  Where the exposed face is set-valued a selection rule
+picks the control; several rules are provided because normal data does
+not determine the control there.
 """
 
 from __future__ import annotations
@@ -149,12 +150,6 @@ def _embed(u_v: np.ndarray, dim: int, polarization: tuple[int, ...]
     return full
 
 
-def dual_point(spec: groups.GroupSpec, lam: np.ndarray, g: np.ndarray,
-               polarization: tuple[int, ...] | None = None) -> np.ndarray:
-    """Dual point of the normal curve at chart position ``g``."""
-    return groups.coadjoint_dual_point(spec, lam, g, polarization)
-
-
 def dual_derivative(spec: groups.GroupSpec, lam: np.ndarray, g: np.ndarray,
                     u_v: np.ndarray,
                     polarization: tuple[int, ...] | None = None
@@ -198,18 +193,20 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
     basis_v = spec.basis[list(pol)]
 
     def control(g: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        xi = dual_point(spec, lam, g, pol)
+        xi = groups.coadjoint_dual_point(spec, lam, g, pol)
         nd = norm.dual_value(xi)
         if nd <= DEGENERATE_DUAL_TOL * speed:
             raise IntegrationError("dual point degenerated to zero", t)
         return nd * norm.unit_face(xi), xi
 
-    def rhs(g: np.ndarray, t: float) -> np.ndarray:
-        u, _ = control(g, t)
+    def velocity(g: np.ndarray, u: np.ndarray) -> np.ndarray:
         return g @ np.einsum("i,iab->ab", u, basis_v)
 
-    def rk4(g: np.ndarray, t: float, h: float) -> np.ndarray:
-        k1 = rhs(g, t)
+    def rhs(g: np.ndarray, t: float) -> np.ndarray:
+        return velocity(g, control(g, t)[0])
+
+    def rk4(g: np.ndarray, k1: np.ndarray, t: float, h: float
+            ) -> np.ndarray:
         k2 = rhs(g + 0.5 * h * k1, t + 0.5 * h)
         k3 = rhs(g + 0.5 * h * k2, t + 0.5 * h)
         k4 = rhs(g + h * k3, t + h)
@@ -227,16 +224,20 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
     regime = norm.regime_id(duals[0])
 
     for i in range(n_steps):
-        g_next = rk4(points[i], times[i], step)
-        xi_next = dual_point(spec, lam, g_next, pol)
-        new_regime = norm.regime_id(xi_next)
+        # The node's control is RK4's first stage, here and in the
+        # event bisection; the next node's control comes with its dual
+        # point from one evaluation.
+        k1 = velocity(points[i], controls[i])
+        g_next = rk4(points[i], k1, times[i], step)
+        controls[i + 1], duals[i + 1] = control(g_next, times[i + 1])
+        new_regime = norm.regime_id(duals[i + 1])
         if locate_events and new_regime != regime:
             lo, hi = 0.0, step
             width = EVENT_WIDTH_FACTOR * step
             while hi - lo > width:
                 mid = 0.5 * (lo + hi)
-                g_mid = rk4(points[i], times[i], mid)
-                xi_mid = dual_point(spec, lam, g_mid, pol)
+                g_mid = rk4(points[i], k1, times[i], mid)
+                xi_mid = groups.coadjoint_dual_point(spec, lam, g_mid, pol)
                 if norm.regime_id(xi_mid) != regime:
                     hi = mid
                 else:
@@ -245,7 +246,6 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
                                     regime, new_regime))
         regime = new_regime
         points[i + 1] = g_next
-        controls[i + 1], duals[i + 1] = control(g_next, times[i + 1])
 
     return Trajectory(group=spec, norm=norm, polarization=pol, lam=lam,
                       times=times, points=points, controls=controls,
@@ -302,7 +302,7 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
         return g @ groups.exp(spec, dt * _embed(u_v, spec.dim, pol))
 
     def face_at(g: np.ndarray):
-        return poly.face_of(dual_point(spec, lam, g, pol))
+        return poly.face_of(groups.coadjoint_dual_point(spec, lam, g, pol))
 
     n_steps = int(round(t_end / step))
     times = step * np.arange(n_steps + 1)
@@ -316,7 +316,7 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
     face = face_at(g)
     if start_control is not None:
         u = np.asarray(start_control, dtype=float)
-        xi0 = dual_point(spec, lam, g, pol)
+        xi0 = groups.coadjoint_dual_point(spec, lam, g, pol)
         slack = 1e-9 * max(1.0, speed * speed)
         if (abs(poly.value(u) - speed) > slack
                 or abs(float(xi0 @ u) - speed * speed) > slack):
@@ -329,7 +329,7 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
 
     points[0] = g
     controls[0] = u
-    duals[0] = dual_point(spec, lam, g, pol)
+    duals[0] = groups.coadjoint_dual_point(spec, lam, g, pol)
     face_ids[0] = face.fid
     events: list[FaceEvent] = []
     width = EVENT_WIDTH_FACTOR * step
@@ -339,7 +339,7 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
         remaining = step
         while remaining > 0.0:
             trial = advance(g, u, remaining)
-            new_face = poly.face_of(dual_point(spec, lam, trial, pol))
+            new_face = face_at(trial)
             if new_face.fid == face.fid:
                 g = trial
                 t += remaining
@@ -348,8 +348,7 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
             lo, hi = 0.0, remaining
             while hi - lo > width:
                 mid = 0.5 * (lo + hi)
-                probe = poly.face_of(
-                    dual_point(spec, lam, advance(g, u, mid), pol))
+                probe = face_at(advance(g, u, mid))
                 if probe.fid != face.fid:
                     hi = mid
                 else:
@@ -366,13 +365,30 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
                 u, support = _select_control(poly, face, speed, rule)
         points[i + 1] = g
         controls[i + 1] = u
-        duals[i + 1] = dual_point(spec, lam, g, pol)
+        duals[i + 1] = groups.coadjoint_dual_point(spec, lam, g, pol)
         face_ids[i + 1] = face.fid
 
     return Trajectory(group=spec, norm=norm, polarization=pol, lam=lam,
                       times=times, points=points, controls=controls,
                       duals=duals, face_ids=face_ids, speed=speed,
                       events=events, rule=rule, step=step)
+
+
+def integrate(spec: groups.GroupSpec, norm: convex.Norm, lam: np.ndarray,
+              t_end: float, step: float,
+              polarization: tuple[int, ...] | None = None,
+              rule: str = "persistent") -> Trajectory:
+    """Integrate a normal curve with the integrator its norm needs.
+
+    Polytope balls go to :func:`integrate_polyhedral` with the given
+    selection rule; every other norm goes to :func:`integrate_smooth`,
+    which has no rule.
+    """
+    if norm.convexity_class == "polyhedral":
+        return integrate_polyhedral(spec, norm, lam, t_end, step,
+                                    polarization=polarization, rule=rule)
+    return integrate_smooth(spec, norm, lam, t_end, step,
+                            polarization=polarization)
 
 
 def subgroup_trajectory(spec: groups.GroupSpec, norm: convex.Norm,
@@ -399,7 +415,7 @@ def subgroup_trajectory(spec: groups.GroupSpec, norm: convex.Norm,
     for i in range(n_steps):
         points[i + 1] = points[i] @ hop
     for i in range(n_steps + 1):
-        duals[i] = dual_point(spec, lam, points[i], pol)
+        duals[i] = groups.coadjoint_dual_point(spec, lam, points[i], pol)
     return Trajectory(group=spec, norm=norm, polarization=pol, lam=lam,
                       times=times, points=points,
                       controls=np.tile(direction, (n_steps + 1, 1)),
@@ -485,7 +501,8 @@ def lift_curve(sub: groups.SubmetryData, traj: Trajectory,
         dt = traj.times[i + 1] - traj.times[i]
         points[i + 1] = points[i] @ groups.exp(
             spec, dt * _embed(controls[i], spec.dim, pol))
-    duals = np.array([dual_point(spec, lam, g, pol) for g in points])
+    duals = np.array([groups.coadjoint_dual_point(spec, lam, g, pol)
+                      for g in points])
     if norm.convexity_class == "polyhedral":
         poly = convex.as_polyhedron(norm)
         face_ids = np.array([poly.face_of(xi).fid for xi in duals])

@@ -150,11 +150,6 @@ def adjoint_matrix(spec: GroupSpec, g: GroupElement) -> np.ndarray:
     return coords.T
 
 
-def Ad(spec: GroupSpec, g: GroupElement, y: np.ndarray) -> np.ndarray:
-    """Adjoint action of a group element on algebra coordinates."""
-    return adjoint_matrix(spec, g) @ np.asarray(y, dtype=float)
-
-
 def coadjoint_dual_point(spec: GroupSpec, lam: np.ndarray, g: GroupElement,
                          polarization: tuple[int, ...] | None = None
                          ) -> np.ndarray:

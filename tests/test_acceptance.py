@@ -34,6 +34,7 @@ from subfinsler import (
     check_duality_inversion,
     detect_branching,
     heisenberg_group,
+    integrate,
     integrate_polyhedral,
     integrate_smooth,
     l1_ball,
@@ -53,15 +54,6 @@ from oracles import adjoint_by_conjugation, face_lattice_bruteforce
 
 LN2 = math.log(2.0)
 LN3 = math.log(3.0)
-
-
-def _integrate_like_cli(cfg, spec, norm, lam):
-    pol = cfg.pol(spec)
-    if norm.convexity_class == "polyhedral":
-        return integrate_polyhedral(spec, norm, lam, cfg.t_end, cfg.step,
-                                    polarization=pol, rule=cfg.rule)
-    return integrate_smooth(spec, norm, lam, cfg.t_end, cfg.step,
-                            polarization=pol)
 
 
 # -- criteria 1 and 2 share the fine-step affine runs -------------------------
@@ -247,7 +239,8 @@ def test_shipped_scenarios_conserve_speed():
         if cfg.covector_b is not None:
             covectors.append(cfg.covector_b)
         for lam in covectors:
-            traj = _integrate_like_cli(cfg, spec, norm, lam)
+            traj = integrate(spec, norm, lam, cfg.t_end, cfg.step,
+                             polarization=cfg.pol(spec), rule=cfg.rule)
             report = check_constant_speed(traj)  # slack is 10 * step
             assert report["control_deviation"] <= 10.0 * cfg.step, name
             assert report["dual_deviation"] <= 10.0 * cfg.step, name

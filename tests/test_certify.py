@@ -8,6 +8,8 @@ import pytest
 from subfinsler import (
     EuclideanNorm,
     MaxNorm,
+    PolyhedralNorm,
+    Polyhedron,
     abelianized_minimality,
     adjoint_bracket_bound,
     certify_trajectory,
@@ -158,6 +160,43 @@ def test_abelianized_minimality_certificate():
     assert cert.m_estimate.value == 2.0
     assert cert.lam_reference_dual == pytest.approx(1.6, abs=1e-12)
     assert cert.window == pytest.approx(2.0 / 2.0 / 1.6, abs=1e-9)
+
+
+def test_abelianized_certificate_on_a_flattened_polygon():
+    # A flattened hexagon: the covector (0.5, 0.4) exposes the vertex
+    # (1, 0), not the vertex (0.5, 0.4), so faces read off the controls
+    # as if they were covectors would be wrong.  The certificate must
+    # follow the curve's own face history instead.
+    ball = Polyhedron.from_vertices(np.array([
+        [1.0, 0.0], [0.5, 0.4], [-0.5, 0.4],
+        [-1.0, 0.0], [-0.5, -0.4], [0.5, -0.4]]))
+    exposed = ball.face_of(np.array([0.5, 0.4]))
+    assert ball.vertices[list(exposed.vertex_ids)].tolist() == [[1.0, 0.0]]
+    sub = heisenberg_abelianization()
+    traj = integrate_polyhedral(sub.source, PolyhedralNorm(ball),
+                                [0.5, 0.5, 2.0], 2.0, 1e-2,
+                                polarization=(0, 1))
+    assert len(traj.events) >= 2
+    cert = abelianized_minimality(sub, traj)
+    assert cert.kind == "abelianized-minimality"
+    assert cert.verdict
+    assert cert.violations == []
+    assert cert.delta == pytest.approx(ball.star_covering().delta,
+                                       abs=1e-12)
+    # M(1) = 2 and the max-norm dual of the covector is 3.
+    assert cert.window == pytest.approx(cert.delta / 2.0 / 3.0, abs=1e-12)
+    assert cert.lam.tolist() == [0.5, 0.5]
+    assert cert.speed == pytest.approx(0.5, abs=1e-12)
+
+
+def test_abelianized_rejects_a_non_invertible_differential():
+    # On the full polarization dpi is 2 x 3, so the projected faces do
+    # not correspond to the curve's own faces.
+    sub = heisenberg_abelianization()
+    traj = integrate_polyhedral(sub.source, MaxNorm(3), [0.0, 0.0, 1.0],
+                                1.0, 1e-2)
+    with pytest.raises(ValueError, match="not invertible"):
+        abelianized_minimality(sub, traj)
 
 
 # -- the vertical shortcut -------------------------------------------------------

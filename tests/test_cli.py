@@ -212,6 +212,27 @@ def test_degenerate_covector_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_certify_without_polytope_ball_exits_2(tmp_path, capsys):
+    code = run("certify", "--config", "abelian_euclidean",
+               "--out", tmp_path)
+    assert code == 2
+    assert "no polytope unit ball" in capsys.readouterr().err
+
+
+def test_abelianized_certify_needs_invertible_dpi_exits_2(tmp_path,
+                                                        capsys):
+    # On the full polarization the abelianization's differential is
+    # 2 x 3, which has no inverse.
+    src = tmp_path / "full.json"
+    src.write_text(json.dumps({
+        "name": "full", "group": "heisenberg",
+        "norm": {"family": "linf", "dim": 3}, "covector": [0.0, 0.0, 1.0],
+        "t_end": 1.0, "step": 0.01, "abelianized": True}))
+    code = run("certify", "--config", src, "--out", tmp_path)
+    assert code == 2
+    assert "not invertible" in capsys.readouterr().err
+
+
 def test_wrong_covector_length_exits_2(tmp_path, capsys):
     src = tmp_path / "short.json"
     src.write_text(json.dumps({

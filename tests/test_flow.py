@@ -19,8 +19,8 @@ from subfinsler import (
     affine_line_group,
     check_constant_speed,
     detect_branching,
+    coadjoint_dual_point,
     dual_derivative,
-    dual_point,
     heisenberg_abelianization,
     heisenberg_group,
     integrate_polyhedral,
@@ -120,7 +120,7 @@ def test_generic_heisenberg_invariants():
     assert check["dual_deviation"] <= 10.0 * traj.step
     # Dual points must match the coadjoint formula at every node.
     for i in (0, 50, 150, 300):
-        xi = dual_point(heis, lam, traj.points[i])
+        xi = coadjoint_dual_point(heis, lam, traj.points[i])
         assert np.allclose(xi, traj.duals[i], atol=1e-12)
     # The control maximizes the dual point away from the event widths.
     pairing = np.einsum("ij,ij->i", traj.duals, traj.controls)
@@ -210,8 +210,8 @@ def test_dual_derivative_matches_finite_differences(rng):
         u = rng.standard_normal(spec.dim)
         g = group_exp(spec, x)
         eps = 1e-5
-        plus = dual_point(spec, lam, g @ group_exp(spec, eps * u))
-        minus = dual_point(spec, lam, g @ group_exp(spec, -eps * u))
+        plus = coadjoint_dual_point(spec, lam, g @ group_exp(spec, eps * u))
+        minus = coadjoint_dual_point(spec, lam, g @ group_exp(spec, -eps * u))
         numeric = (plus - minus) / (2.0 * eps)
         analytic = dual_derivative(spec, lam, g, u)
         assert np.max(np.abs(numeric - analytic)) <= 1e-7

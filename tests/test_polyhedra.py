@@ -164,6 +164,17 @@ def test_star_covering_deltas_frozen():
         1.0, abs=1e-9)
 
 
+def test_star_covering_delta_is_linear_invariant(any_ball, rng):
+    # The covering bound is measured in the ball's own gauge, so an
+    # invertible linear image of the ball has the same delta.
+    mat = np.eye(any_ball.dim) + 0.3 * rng.standard_normal(
+        (any_ball.dim, any_ball.dim))
+    image = Polyhedron(any_ball.vertices @ mat.T,
+                       any_ball.functionals @ np.linalg.inv(mat))
+    assert image.star_covering().delta == pytest.approx(
+        any_ball.star_covering().delta, abs=1e-12)
+
+
 def test_pair_distance_lp_frozen():
     # Two opposite vertices of the diamond at sum-norm distance 2,
     # measured in the gauge of the diamond itself.
