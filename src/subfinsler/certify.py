@@ -91,10 +91,9 @@ class StabilityCertificate:
 
 def _unit_sphere_extremes(norm: convex.Norm) -> np.ndarray | None:
     """Extreme points of the unit ball, when the ball is a polytope."""
-    try:
-        return convex.as_polyhedron(norm).vertices
-    except convex.NormError:
-        return None
+    if isinstance(norm, convex.PolyhedralNorm):
+        return norm.poly.vertices
+    return None
 
 
 def _brackets_are_central(spec: groups.GroupSpec) -> bool:
@@ -143,9 +142,6 @@ def adjoint_bracket_bound(spec: groups.GroupSpec, radius: float,
     """
     if n_norm is None:
         n_norm = convex.MaxNorm(spec.dim)
-    pol = spec.polarization if polarization is None else tuple(polarization)
-    if ball_norm is None:
-        ball_norm = convex.MaxNorm(len(pol))
     if np.max(np.abs(spec.structure)) == 0.0:
         return MEstimate(0.0, radius, "analytic-abelian")
 
@@ -157,6 +153,9 @@ def adjoint_bracket_bound(spec: groups.GroupSpec, radius: float,
         return MEstimate(value, radius, "analytic-central",
                          {"pairs": len(extremes) ** 2})
 
+    pol = spec.polarization if polarization is None else tuple(polarization)
+    if ball_norm is None:
+        ball_norm = convex.MaxNorm(len(pol))
     rng = np.random.default_rng(seed)
     group_points = [spec.identity()]
     for _ in range(n_group):

@@ -79,10 +79,32 @@ class ScenarioConfig:
             raise ScenarioError(str(exc)) from exc
 
     def build_norm(self) -> convex.Norm:
+        # ValueError covers NormError, PolyhedronError and ragged arrays;
+        # TypeError covers fields of the wrong type, such as a null dim.
         try:
             return convex.norm_from_json(self.norm)
-        except (KeyError, convex.NormError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:
             raise ScenarioError(f"bad norm spec: {exc}") from exc
+
+    def build_norm_on(self, spec: groups.GroupSpec) -> convex.Norm:
+        """:meth:`build_norm`, checked against the polarization size.
+
+        The size is checked before the norm is built: the ``l1`` and
+        ``linf`` balls have ``2**dim`` facets or vertices.
+        """
+        size = len(self.pol(spec))
+        try:
+            dim = int(self.norm["dim"])
+        except (KeyError, ValueError, TypeError) as exc:
+            raise ScenarioError(f"bad norm spec: dim: {exc}") from exc
+        if dim != size:
+            raise ScenarioError(f"bad norm spec: dim {dim} does not match "
+                                f"the {size} polarization directions")
+        norm = self.build_norm()
+        if norm.dim != size:
+            raise ScenarioError(f"bad norm spec: the ball has dimension "
+                                f"{norm.dim}, the polarization {size}")
+        return norm
 
     def pol(self, spec: groups.GroupSpec) -> tuple[int, ...]:
         if self.polarization is None:
@@ -136,7 +158,7 @@ def _covector(cfg: ScenarioConfig, spec: groups.GroupSpec,
 
 def _cmd_integrate(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
     spec = cfg.build_group()
-    norm = cfg.build_norm()
+    norm = cfg.build_norm_on(spec)
     traj = flow.integrate(spec, norm, _covector(cfg, spec, cfg.covector),
                           cfg.t_end, cfg.step, polarization=cfg.pol(spec),
                           rule=cfg.rule)
@@ -152,7 +174,7 @@ def _cmd_integrate(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
 
 def _cmd_branch(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
     spec = cfg.build_group()
-    norm = cfg.build_norm()
+    norm = cfg.build_norm_on(spec)
     first = flow.integrate(spec, norm, _covector(cfg, spec, cfg.covector),
                            cfg.t_end, cfg.step, polarization=cfg.pol(spec),
                            rule=cfg.rule)
@@ -183,7 +205,7 @@ def _cmd_branch(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
 
 def _cmd_certify(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
     spec = cfg.build_group()
-    norm = cfg.build_norm()
+    norm = cfg.build_norm_on(spec)
     _polytope_ball(norm)
     if cfg.abelianized and spec.name != "heisenberg":
         raise ScenarioError("abelianized check is defined for the "
@@ -229,7 +251,7 @@ def _cmd_shortcut(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
 
 
 def _cmd_faces(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
-    ball = _polytope_ball(cfg.build_norm())
+    ball = _polytope_ball(cfg.build_norm_on(cfg.build_group()))
     covering = ball.star_covering()
     payload = {
         "scenario": cfg.name,

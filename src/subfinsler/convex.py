@@ -17,6 +17,12 @@ point, a polytope listed by its vertices, or a support-oracle set (the
 disk-shaped subdifferentials of the rotationally symmetric corner norm
 are of the last kind).  Membership is always decided by the defining
 equalities above, so the test is uniform across representations.
+
+Every polytope norm is a :class:`PolyhedralNorm` that owns its
+:class:`~subfinsler.polyhedra.Polyhedron`, and there the two
+subdifferentials are read off the ball: active functionals for ``E``,
+the exposed face for ``E*``.  The sum and max norms add closed-form
+gauges on top of the cross-polytope and the cube.
 """
 
 from __future__ import annotations
@@ -101,6 +107,13 @@ class ConvexSet:
 def _point_set(p: np.ndarray, membership=None) -> ConvexSet:
     p = np.asarray(p, dtype=float)
     return ConvexSet(kind="point", point=p, membership=membership)
+
+
+def _vertex_hull(verts: np.ndarray, membership) -> ConvexSet:
+    """The convex hull of finitely many points: a point set for one."""
+    if verts.shape[0] == 1:
+        return _point_set(verts[0], membership=membership)
+    return ConvexSet(kind="polytope", vertices=verts, membership=membership)
 
 
 def _sign_completions(u: np.ndarray) -> np.ndarray:
@@ -241,94 +254,6 @@ class EuclideanNorm(Norm):
         return _point_set(u.copy(), membership=self._membership(u))
 
 
-class SumNorm(Norm):
-    """Sum of absolute coordinates; dual to the max norm."""
-
-    family = "l1"
-
-    def __init__(self, dim: int):
-        self.dim = int(dim)
-
-    def value(self, v):
-        return float(np.sum(np.abs(np.asarray(v, dtype=float))))
-
-    def dual_value(self, eta):
-        return float(np.max(np.abs(np.asarray(eta, dtype=float))))
-
-    @property
-    def convexity_class(self):
-        return "polyhedral"
-
-    def subdiff_energy(self, u):
-        u = np.asarray(u, dtype=float)
-        n1 = self.value(u)
-        member = self._membership(u)
-        if n1 == 0.0:
-            return _point_set(np.zeros(self.dim), membership=member)
-        verts = n1 * _sign_completions(u)
-        if verts.shape[0] == 1:
-            return _point_set(verts[0], membership=member)
-        return ConvexSet(kind="polytope", vertices=verts, membership=member)
-
-    def subdiff_dual_energy(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        nd = self.dual_value(eta)
-        member = self._dual_membership(eta)
-        if nd == 0.0:
-            return _point_set(np.zeros(self.dim), membership=member)
-        active = np.nonzero(np.abs(eta) >= nd * (1.0 - 1e-12))[0]
-        verts = np.zeros((len(active), self.dim))
-        for row, i in enumerate(active):
-            verts[row, i] = nd * np.sign(eta[i])
-        if verts.shape[0] == 1:
-            return _point_set(verts[0], membership=member)
-        return ConvexSet(kind="polytope", vertices=verts, membership=member)
-
-
-class MaxNorm(Norm):
-    """Largest absolute coordinate; dual to the sum norm."""
-
-    family = "linf"
-
-    def __init__(self, dim: int):
-        self.dim = int(dim)
-
-    def value(self, v):
-        return float(np.max(np.abs(np.asarray(v, dtype=float))))
-
-    def dual_value(self, eta):
-        return float(np.sum(np.abs(np.asarray(eta, dtype=float))))
-
-    @property
-    def convexity_class(self):
-        return "polyhedral"
-
-    def subdiff_energy(self, u):
-        u = np.asarray(u, dtype=float)
-        n = self.value(u)
-        member = self._membership(u)
-        if n == 0.0:
-            return _point_set(np.zeros(self.dim), membership=member)
-        active = np.nonzero(np.abs(u) >= n * (1.0 - 1e-12))[0]
-        verts = np.zeros((len(active), self.dim))
-        for row, i in enumerate(active):
-            verts[row, i] = n * np.sign(u[i])
-        if verts.shape[0] == 1:
-            return _point_set(verts[0], membership=member)
-        return ConvexSet(kind="polytope", vertices=verts, membership=member)
-
-    def subdiff_dual_energy(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        nd = self.dual_value(eta)
-        member = self._dual_membership(eta)
-        if nd == 0.0:
-            return _point_set(np.zeros(self.dim), membership=member)
-        verts = nd * _sign_completions(eta)
-        if verts.shape[0] == 1:
-            return _point_set(verts[0], membership=member)
-        return ConvexSet(kind="polytope", vertices=verts, membership=member)
-
-
 class PolyhedralNorm(Norm):
     """Norm whose unit ball is an explicit symmetric polytope."""
 
@@ -356,10 +281,7 @@ class PolyhedralNorm(Norm):
             return _point_set(np.zeros(self.dim), membership=member)
         vals = self.poly.functionals @ u
         active = np.nonzero(vals >= n * (1.0 - 1e-12))[0]
-        verts = n * self.poly.functionals[active]
-        if verts.shape[0] == 1:
-            return _point_set(verts[0], membership=member)
-        return ConvexSet(kind="polytope", vertices=verts, membership=member)
+        return _vertex_hull(n * self.poly.functionals[active], member)
 
     def subdiff_dual_energy(self, eta):
         eta = np.asarray(eta, dtype=float)
@@ -368,13 +290,56 @@ class PolyhedralNorm(Norm):
         if nd == 0.0:
             return _point_set(np.zeros(self.dim), membership=member)
         face = self.poly.face_of(eta)
-        verts = nd * self.poly.vertices[list(face.vertex_ids)]
-        if verts.shape[0] == 1:
-            return _point_set(verts[0], membership=member)
-        return ConvexSet(kind="polytope", vertices=verts, membership=member)
+        return _vertex_hull(nd * self.poly.vertices[list(face.vertex_ids)],
+                            member)
 
     def params_dict(self):
         return self.poly.to_json_dict()
+
+
+class SumNorm(PolyhedralNorm):
+    """Sum of absolute coordinates; dual to the max norm.
+
+    The unit ball is the cross-polytope.  The gauges are closed forms;
+    the subdifferentials are the polytope ones, and the ball needs no
+    parameters to rebuild, so ``params`` serializes empty.
+    """
+
+    family = "l1"
+
+    def __init__(self, dim: int):
+        super().__init__(l1_ball(int(dim)))
+
+    def value(self, v):
+        return float(np.sum(np.abs(np.asarray(v, dtype=float))))
+
+    def dual_value(self, eta):
+        return float(np.max(np.abs(np.asarray(eta, dtype=float))))
+
+    def params_dict(self):
+        return {}
+
+
+class MaxNorm(PolyhedralNorm):
+    """Largest absolute coordinate; dual to the sum norm.
+
+    The unit ball is the cube; as for :class:`SumNorm`, only the gauges
+    are closed forms.
+    """
+
+    family = "linf"
+
+    def __init__(self, dim: int):
+        super().__init__(linf_ball(int(dim)))
+
+    def value(self, v):
+        return float(np.max(np.abs(np.asarray(v, dtype=float))))
+
+    def dual_value(self, eta):
+        return float(np.sum(np.abs(np.asarray(eta, dtype=float))))
+
+    def params_dict(self):
+        return {}
 
 
 class CornerNorm(Norm):
@@ -607,10 +572,7 @@ class RootSumNorm(Norm):
         n1 = float(np.sum(np.abs(u)))
         if n1 == 0.0 and float(u @ u) == 0.0:
             return _point_set(np.zeros(self.dim), membership=member)
-        verts = u + n1 * _sign_completions(u)
-        if verts.shape[0] == 1:
-            return _point_set(verts[0], membership=member)
-        return ConvexSet(kind="polytope", vertices=verts, membership=member)
+        return _vertex_hull(u + n1 * _sign_completions(u), member)
 
     def subdiff_dual_energy(self, eta):
         eta = np.asarray(eta, dtype=float)
@@ -747,11 +709,7 @@ def check_duality_inversion(norm: Norm, u: Vector, eta: Covector,
 
 
 def as_polyhedron(norm: Norm) -> Polyhedron:
-    """Unit ball of a polyhedral norm as an explicit polytope."""
+    """Unit ball of a polyhedral norm, owned by the norm itself."""
     if isinstance(norm, PolyhedralNorm):
         return norm.poly
-    if isinstance(norm, SumNorm):
-        return l1_ball(norm.dim)
-    if isinstance(norm, MaxNorm):
-        return linf_ball(norm.dim)
     raise NormError(f"{norm.family} norm has no polytope unit ball")

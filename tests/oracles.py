@@ -3,10 +3,14 @@
 Everything here deliberately avoids the library's analytic code paths:
 dual energies come from direct numerical maximization, face lattices
 from feasibility programs over vertex subsets, and adjoint images from
-explicit matrix conjugation resolved by least squares.
+explicit matrix conjugation resolved by least squares.  The sum and
+max norm subdifferentials have closed forms, spelled out coordinate by
+coordinate.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 import numpy as np
 from scipy.linalg import expm
@@ -120,3 +124,31 @@ def adjoint_by_exp_ad(structure: np.ndarray, x: np.ndarray,
     x = np.asarray(x, dtype=float)
     ad_x = np.einsum("i,ijk->kj", x, np.asarray(structure, dtype=float))
     return expm(ad_x) @ np.asarray(y, dtype=float)
+
+
+def sign_completion_vertices(x: np.ndarray) -> set[tuple[float, ...]]:
+    """Vertices of the subdifferential where a sum-of-absolute-values
+    gauge is differentiated: ``|x|_1 * s`` over every sign vector ``s``
+    with ``s_i = sign(x_i)`` where ``x_i != 0`` and ``s_i = +-1`` where
+    ``x_i = 0``.  (``dE`` of the sum norm, ``dE*`` of the max norm.)"""
+    x = np.asarray(x, dtype=float)
+    scale = float(np.sum(np.abs(x)))
+    choices = [(1.0, -1.0) if xi == 0.0 else (float(np.sign(xi)),)
+               for xi in x]
+    return {tuple(scale * s for s in signs) for signs in product(*choices)}
+
+
+def active_coordinate_vertices(x: np.ndarray) -> set[tuple[float, ...]]:
+    """Vertices of the subdifferential where a max-of-absolute-values
+    gauge is differentiated: ``|x|_inf * sign(x_i) e_i`` for every
+    coordinate with ``|x_i| = |x|_inf``.  (``dE`` of the max norm,
+    ``dE*`` of the sum norm.)"""
+    x = np.asarray(x, dtype=float)
+    top = float(np.max(np.abs(x)))
+    out = set()
+    for i, xi in enumerate(x):
+        if abs(xi) == top:
+            vertex = [0.0] * len(x)
+            vertex[i] = top * float(np.sign(xi))
+            out.add(tuple(vertex))
+    return out

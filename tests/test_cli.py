@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from subfinsler import convex
 from subfinsler.cli import ScenarioError, load_scenario, main
 
 
@@ -233,6 +234,54 @@ def test_abelianized_certify_needs_invertible_dpi_exits_2(tmp_path,
     assert "not invertible" in capsys.readouterr().err
 
 
+MALFORMED_NORMS = {
+    # Not symmetric about the origin: a triangle with its facet functionals.
+    "asymmetric": {"family": "polyhedral", "dim": 2, "params": {
+        "vertices": [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]],
+        "functionals": [[1.0, 1.0], [-2.0, 1.0], [1.0, -2.0]]}},
+    # A vertex with one coordinate missing.
+    "ragged": {"family": "polyhedral", "dim": 2, "params": {
+        "vertices": [[1.0, 0.0], [0.0, 1.0], [-1.0], [0.0, -1.0]],
+        "functionals": [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0],
+                        [1.0, -1.0]]}},
+    "null_dim": {"family": "l1", "dim": None},
+    # A cube on three directions where the polarization has two.
+    "wrong_dim": {"family": "linf", "dim": 3},
+}
+
+
+@pytest.mark.parametrize("command", ["faces", "integrate", "certify"])
+@pytest.mark.parametrize("ball", sorted(MALFORMED_NORMS))
+def test_malformed_polytope_ball_exits_2(tmp_path, capsys, command, ball):
+    src = tmp_path / "ball.json"
+    src.write_text(json.dumps({
+        "name": "ball", "group": "heisenberg", "polarization": [0, 1],
+        "norm": MALFORMED_NORMS[ball], "covector": [0.3, 0.5, 0.8],
+        "t_end": 0.1, "step": 0.01}))
+    code = run(command, "--config", src, "--out", tmp_path)
+    assert code == 2
+    assert "bad norm spec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["faces", "integrate", "certify"])
+def test_oversized_dim_exits_2_before_the_ball_is_built(tmp_path, capsys,
+                                                        monkeypatch, command):
+    # linf_ball(16) has 2**16 vertices: the dim must be checked against
+    # the polarization before any ball is built.
+    def refuse(data):
+        raise AssertionError("norm built before its dim was checked")
+
+    monkeypatch.setattr(convex, "norm_from_json", refuse)
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps({
+        "name": "big", "group": "heisenberg", "polarization": [0, 1],
+        "norm": {"family": "linf", "dim": 16}, "covector": [0.3, 0.5, 0.8],
+        "t_end": 0.1, "step": 0.01}))
+    code = run(command, "--config", src, "--out", tmp_path)
+    assert code == 2
+    assert "does not match the 2 polarization" in capsys.readouterr().err
+
+
 def test_wrong_covector_length_exits_2(tmp_path, capsys):
     src = tmp_path / "short.json"
     src.write_text(json.dumps({
@@ -255,3 +304,4 @@ def test_rerun_is_byte_identical(tmp_path):
     for fname in ("heisenberg_vertical_trajectory.csv",
                   "heisenberg_vertical_meta.json"):
         assert (dir_a / fname).read_bytes() == (dir_b / fname).read_bytes()
+

@@ -25,7 +25,12 @@ from subfinsler import (
 )
 from subfinsler.convex import _sign_completions
 
-from oracles import sampled_dual_energy, sampled_dual_norm_2d
+from oracles import (
+    active_coordinate_vertices,
+    sampled_dual_energy,
+    sampled_dual_norm_2d,
+    sign_completion_vertices,
+)
 
 ALL_NORMS = [
     ("euclidean2", lambda: EuclideanNorm(2)),
@@ -263,6 +268,78 @@ def test_root_sum_subdiff_square(rng):
     sub = norm.subdiff_energy([1.0, 0.0])
     assert sub.kind == "polytope"
     assert sorted(map(tuple, sub.vertices)) == [(2.0, -1.0), (2.0, 1.0)]
+
+
+# Points where the sum and max norms are not differentiable: zero
+# coordinates and coordinates of equal absolute value.
+TIE_POINTS = [
+    [1.0, 0.0], [0.0, -2.0], [1.5, 1.5], [-0.5, 0.5], [2.0, -1.0],
+    [2.0, 0.0, 0.0], [0.0, -1.0, 0.0], [1.0, 1.0, 0.0], [1.0, -1.0, 1.0],
+    [0.0, 0.75, -0.75], [-3.0, 0.0, 3.0], [0.5, 0.25, 0.5],
+]
+
+
+def _vertex_set(sub):
+    rows = [sub.point] if sub.kind == "point" else list(sub.vertices)
+    return {tuple(float(x) for x in np.round(row, 12)) for row in rows}
+
+
+@pytest.mark.parametrize("x", TIE_POINTS, ids=str)
+def test_sum_and_max_subdiffs_match_closed_forms(x):
+    # The shared polytope subdifferentials, compared as vertex sets with
+    # the coordinate-wise closed forms at the nonsmooth points.
+    x = np.array(x)
+    dim = len(x)
+    cases = [
+        (SumNorm(dim).subdiff_energy(x), sign_completion_vertices(x)),
+        (SumNorm(dim).subdiff_dual_energy(x), active_coordinate_vertices(x)),
+        (MaxNorm(dim).subdiff_energy(x), active_coordinate_vertices(x)),
+        (MaxNorm(dim).subdiff_dual_energy(x), sign_completion_vertices(x)),
+    ]
+    for sub, expected in cases:
+        assert _vertex_set(sub) == expected
+        assert sub.kind == ("point" if len(expected) == 1 else "polytope")
+
+
+def _directions(rows):
+    rows = np.atleast_2d(np.array(list(rows), dtype=float))
+    return {tuple(float(x) for x in np.round(row / np.max(np.abs(row)), 9))
+            for row in rows}
+
+
+@pytest.mark.parametrize("gap, energy_tied, dual_tied",
+                         [(1e-13, True, True), (1e-10, False, True),
+                          (1e-6, False, False)])
+def test_sum_and_max_subdiffs_at_near_ties(gap, energy_tied, dual_tied):
+    # Within the ball's relative tolerance of a tie (1e-12 on the active
+    # functionals for dE, FACE_REL_TOL = 1e-9 on the exposed face for
+    # dE*) the subdifferential is the one at the tie, rescaled; past it
+    # the closed form at the point itself applies.
+    near_zero, zero = np.array([1.0, gap]), np.array([1.0, 0.0])
+    near_equal, equal = np.array([1.0, 1.0 - gap]), np.array([1.0, 1.0])
+    cases = [
+        (SumNorm(2).subdiff_energy(near_zero), sign_completion_vertices,
+         near_zero, zero, energy_tied),
+        (MaxNorm(2).subdiff_dual_energy(near_zero), sign_completion_vertices,
+         near_zero, zero, dual_tied),
+        (MaxNorm(2).subdiff_energy(near_equal), active_coordinate_vertices,
+         near_equal, equal, energy_tied),
+        (SumNorm(2).subdiff_dual_energy(near_equal),
+         active_coordinate_vertices, near_equal, equal, dual_tied),
+    ]
+    for sub, closed_form, x, tie, tied in cases:
+        rows = [sub.point] if sub.kind == "point" else sub.vertices
+        assert _directions(rows) == _directions(
+            closed_form(tie if tied else x))
+        assert all(sub.contains(row) for row in rows)
+
+
+def test_sum_and_max_norms_are_polytope_norms():
+    for norm, family in ((SumNorm(3), "l1"), (MaxNorm(3), "linf")):
+        assert as_polyhedron(norm) is as_polyhedron(norm)
+        assert isinstance(norm, PolyhedralNorm)
+        assert make_norm(family, 3).to_json_dict() == {
+            "family": family, "dim": 3, "params": {}}
 
 
 def test_regime_ids_frozen():
