@@ -31,7 +31,6 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from . import convex, flow, groups
-from .polyhedra import Polyhedron
 
 # Multiplicative safety margin applied to sampled suprema.
 SAMPLED_INFLATION = 1.1
@@ -222,15 +221,6 @@ def _segments(traj: flow.Trajectory) -> list[tuple[float, float, int]]:
     return segs
 
 
-def _faces_compatible(poly: Polyhedron, fids: set[int]) -> bool:
-    """Whether some closed face contains every face in ``fids``."""
-    faces = poly.faces()
-    union: set[int] = set()
-    for fid in fids:
-        union |= set(faces[fid].vertex_ids)
-    return any(union <= set(f.vertex_ids) for f in faces)
-
-
 def verify_face_stability(traj: flow.Trajectory, window: float,
                           m_estimate: MEstimate, delta: float,
                           lam_reference_dual: float) -> StabilityCertificate:
@@ -241,9 +231,12 @@ def verify_face_stability(traj: flow.Trajectory, window: float,
     one closed face of the sphere complex.  Transitions through a
     common superface (vertex to vertex across their edge, say) are
     legitimate; a genuine violation needs two incompatible faces inside
-    one window.
+    one window.  Every face lies in a facet, so the faces share a
+    closed face exactly when some facet contains them all, that is when
+    their ``facets`` intersect.
     """
-    poly = convex.as_polyhedron(traj.norm)
+    facets = [frozenset(f.facets)
+              for f in convex.as_polyhedron(traj.norm).faces()]
     segs = _segments(traj)
     t_final = float(traj.times[-1])
     starts = sorted(set([float(t) for t in traj.times]
@@ -256,7 +249,8 @@ def verify_face_stability(traj: flow.Trajectory, window: float,
                 break
             active = {fid for s, e, fid in segs
                       if s < stop - 1e-15 and e > start + 1e-15}
-            if len(active) > 1 and not _faces_compatible(poly, active):
+            if len(active) > 1 and not frozenset.intersection(
+                    *(facets[fid] for fid in active)):
                 violations.append({
                     "t_start": float(start), "t_end": float(stop),
                     "face_ids": sorted(int(f) for f in active)})

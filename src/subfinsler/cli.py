@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -37,9 +38,53 @@ class ScenarioError(ValueError):
     """Configuration file missing, malformed, or semantically invalid."""
 
 
+def _is_finite(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _is_positive(value) -> bool:
+    return _is_finite(value) and value > 0
+
+
+def _is_index_list(value) -> bool:
+    return (isinstance(value, list)
+            and all(isinstance(i, int) and not isinstance(i, bool)
+                    for i in value)
+            and len(set(value)) == len(value))
+
+
+def _is_finite_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_finite, value))
+
+
+def _or_null(check):
+    return lambda value: value is None or check(value)
+
+
+# Scenario key -> (check, what the check asks for).  The polarization
+# indices are checked against the group in ScenarioConfig.pol.
+_VALUE_CHECKS = {
+    "name": (lambda v: isinstance(v, str) and Path(v).name == v,
+             "a string with no path separator"),
+    "step": (_is_positive, "positive and finite"),
+    "t_end": (_is_positive, "positive and finite"),
+    "window": (_or_null(_is_positive), "null or positive and finite"),
+    "eps": (_or_null(_is_positive), "null or positive and finite"),
+    "rule": (lambda v: v in flow.SELECTION_RULES,
+             f"one of {list(flow.SELECTION_RULES)}"),
+    "covector": (_or_null(_is_finite_list), "a list of finite numbers"),
+    "covector_b": (_or_null(_is_finite_list), "a list of finite numbers"),
+    "reference_direction": (_or_null(_is_finite_list),
+                            "a list of finite numbers"),
+    "polarization": (_or_null(_is_index_list), "a list of distinct integers"),
+}
+
+
 @dataclass
 class ScenarioConfig:
-    """One run: group, norm, covector(s), horizon, step, rule, seed."""
+    """One run: group, norm, covector(s), horizon, step, rule, seed;
+    construction checks the values in ``_VALUE_CHECKS`` (exit 2)."""
 
     name: str
     group: str
@@ -71,6 +116,12 @@ class ScenarioConfig:
             return cls(**data)
         except TypeError as exc:
             raise ScenarioError(str(exc)) from exc
+
+    def __post_init__(self) -> None:
+        for key, (check, wanted) in _VALUE_CHECKS.items():
+            value = getattr(self, key)
+            if not check(value):
+                raise ScenarioError(f"{key} must be {wanted}, got {value!r}")
 
     def build_group(self) -> groups.GroupSpec:
         try:
@@ -109,7 +160,11 @@ class ScenarioConfig:
     def pol(self, spec: groups.GroupSpec) -> tuple[int, ...]:
         if self.polarization is None:
             return spec.polarization
-        return tuple(int(i) for i in self.polarization)
+        if not all(0 <= i < spec.dim for i in self.polarization):
+            raise ScenarioError(f"polarization indices must lie in "
+                                f"range({spec.dim}), got "
+                                f"{self.polarization!r}")
+        return tuple(self.polarization)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -304,10 +359,10 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_scenario(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.step is not None:
-            cfg.step = args.step
+        overrides = {key: getattr(args, key) for key in ("seed", "step")
+                     if getattr(args, key) is not None}
+        # replace() runs the value checks again on the overrides.
+        cfg = replace(cfg, **overrides)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
     except (ScenarioError, OSError) as exc:

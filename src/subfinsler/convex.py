@@ -57,25 +57,19 @@ class ConvexSet:
     """A convex set in one of three representations.
 
     ``kind`` is ``"point"``, ``"polytope"`` (vertex list), or
-    ``"support"`` (membership oracle plus boundary samples).  The
-    ``contains`` test always goes through the attached oracle so that
+    ``"support"`` (membership oracle plus an optional sampler).  The
+    ``contains`` test always goes through the membership oracle so that
     all three kinds answer membership the same way.
     """
 
     kind: str
+    membership: Callable[[np.ndarray, float], bool]
     point: np.ndarray | None = None
     vertices: np.ndarray | None = None
-    support_samples: np.ndarray | None = None
-    membership: Callable[[np.ndarray, float], bool] | None = None
     sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
 
     def contains(self, x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
-        x = np.asarray(x, dtype=float)
-        if self.membership is not None:
-            return bool(self.membership(x, tol))
-        if self.kind == "point":
-            return bool(np.max(np.abs(x - self.point)) <= tol)
-        raise NormError("set carries no membership oracle")
+        return bool(self.membership(np.asarray(x, dtype=float), tol))
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Random elements of the set; includes extreme points when known."""
@@ -92,28 +86,17 @@ class ConvexSet:
             return self.sampler(rng, count)
         raise NormError("set carries no sampler")
 
-    def to_json_dict(self) -> dict:
-        data: dict = {"kind": self.kind}
-        if self.point is not None:
-            data["point"] = [float(x) for x in self.point]
-        if self.vertices is not None:
-            data["vertices"] = [[float(x) for x in row] for row in self.vertices]
-        if self.support_samples is not None:
-            data["support_samples"] = [[float(x) for x in row]
-                                       for row in self.support_samples]
-        return data
 
-
-def _point_set(p: np.ndarray, membership=None) -> ConvexSet:
-    p = np.asarray(p, dtype=float)
-    return ConvexSet(kind="point", point=p, membership=membership)
+def _point_set(p: np.ndarray, membership) -> ConvexSet:
+    return ConvexSet(kind="point", membership=membership,
+                     point=np.asarray(p, dtype=float))
 
 
 def _vertex_hull(verts: np.ndarray, membership) -> ConvexSet:
     """The convex hull of finitely many points: a point set for one."""
     if verts.shape[0] == 1:
-        return _point_set(verts[0], membership=membership)
-    return ConvexSet(kind="polytope", vertices=verts, membership=membership)
+        return _point_set(verts[0], membership)
+    return ConvexSet(kind="polytope", membership=membership, vertices=verts)
 
 
 def _sign_completions(u: np.ndarray) -> np.ndarray:
@@ -138,6 +121,10 @@ class Norm:
     """Base class: a norm with exact dual norm and subdifferentials."""
 
     family: str = ""
+    # One of ``polyhedral``, ``smooth-strongly-convex``,
+    # ``strongly-convex`` (strictly convex but with corners), or
+    # ``unknown`` for oracle-backed norms.
+    convexity_class: str = ""
     dim: int = 0
 
     # gauge ----------------------------------------------------------
@@ -146,13 +133,6 @@ class Norm:
         raise NotImplementedError
 
     def dual_value(self, eta: Covector) -> float:
-        raise NotImplementedError
-
-    @property
-    def convexity_class(self) -> str:
-        """One of ``polyhedral``, ``smooth-strongly-convex``,
-        ``strongly-convex`` (strictly convex but with corners), or
-        ``unknown`` for oracle-backed norms."""
         raise NotImplementedError
 
     # faces of the unit sphere ----------------------------------------
@@ -185,13 +165,11 @@ class Norm:
         raise NotImplementedError
 
     def subdiff_dual_energy(self, eta: Covector) -> ConvexSet:
-        """For strictly convex balls this is the singleton gradient."""
+        """For strictly convex balls this is the singleton gradient
+        (zero at the zero covector)."""
         eta = np.asarray(eta, dtype=float)
-        if self.dual_value(eta) == 0.0:
-            return _point_set(np.zeros(self.dim),
-                              membership=self._dual_membership(eta))
         return _point_set(self.grad_dual_energy(eta),
-                          membership=self._dual_membership(eta))
+                          self._dual_membership(eta))
 
     def _membership(self, u: Vector):
         """Membership oracle for the subdifferential of ``E`` at ``u``."""
@@ -228,6 +206,7 @@ class EuclideanNorm(Norm):
     """The round norm; self-dual, globally smooth off the origin."""
 
     family = "euclidean"
+    convexity_class = "smooth-strongly-convex"
 
     def __init__(self, dim: int):
         self.dim = int(dim)
@@ -237,10 +216,6 @@ class EuclideanNorm(Norm):
 
     def dual_value(self, eta):
         return float(np.linalg.norm(np.asarray(eta, dtype=float)))
-
-    @property
-    def convexity_class(self):
-        return "smooth-strongly-convex"
 
     def unit_face(self, eta):
         eta = np.asarray(eta, dtype=float)
@@ -258,6 +233,7 @@ class PolyhedralNorm(Norm):
     """Norm whose unit ball is an explicit symmetric polytope."""
 
     family = "polyhedral"
+    convexity_class = "polyhedral"
 
     def __init__(self, poly: Polyhedron):
         self.poly = poly
@@ -268,10 +244,6 @@ class PolyhedralNorm(Norm):
 
     def dual_value(self, eta):
         return self.poly.dual_value(eta)
-
-    @property
-    def convexity_class(self):
-        return "polyhedral"
 
     def subdiff_energy(self, u):
         u = np.asarray(u, dtype=float)
@@ -359,6 +331,7 @@ class CornerNorm(Norm):
     """
 
     family = "corner"
+    convexity_class = "strongly-convex"
 
     def __init__(self, dim: int = 2):
         if dim != 2:
@@ -374,10 +347,6 @@ class CornerNorm(Norm):
         if abs(b) >= abs(a):
             return abs(b)
         return (a * a + b * b) / (2.0 * abs(a))
-
-    @property
-    def convexity_class(self):
-        return "strongly-convex"
 
     def regime_id(self, eta):
         a, b = float(eta[0]), float(eta[1])
@@ -406,8 +375,7 @@ class CornerNorm(Norm):
             grad = np.array([math.copysign(1.0, x) + x / r, y / r])
             return _point_set(n * grad, membership=member)
         # Corner ray: all covectors (s, y) with |s| <= |y| support here.
-        verts = np.array([[-abs(y), y], [abs(y), y]])
-        return ConvexSet(kind="polytope", vertices=verts, membership=member)
+        return _vertex_hull(np.array([[-abs(y), y], [abs(y), y]]), member)
 
 
 class AxisCornerNorm(Norm):
@@ -423,6 +391,7 @@ class AxisCornerNorm(Norm):
     """
 
     family = "axis_corner"
+    convexity_class = "strongly-convex"
 
     def __init__(self, dim: int = 3):
         if dim != 3:
@@ -440,10 +409,6 @@ class AxisCornerNorm(Norm):
         if abs(h) >= k:
             return abs(h)
         return (h * h + k * k) / (2.0 * k)
-
-    @property
-    def convexity_class(self):
-        return "strongly-convex"
 
     def regime_id(self, eta):
         h = float(eta[0])
@@ -479,10 +444,6 @@ class AxisCornerNorm(Norm):
             return _point_set(n * grad, membership=member)
         # Corner axis: the subdifferential is a disk orthogonal to it.
         c = float(u[0])
-        angles = np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-        boundary = np.column_stack([np.full(16, c),
-                                    abs(c) * np.cos(angles),
-                                    abs(c) * np.sin(angles)])
 
         def draw(rng: np.random.Generator, count: int) -> np.ndarray:
             rho = abs(c) * np.sqrt(rng.uniform(size=count))
@@ -490,8 +451,7 @@ class AxisCornerNorm(Norm):
             return np.column_stack([np.full(count, c),
                                     rho * np.cos(phi), rho * np.sin(phi)])
 
-        return ConvexSet(kind="support", support_samples=boundary,
-                         membership=member, sampler=draw)
+        return ConvexSet(kind="support", membership=member, sampler=draw)
 
 
 class RootSumNorm(Norm):
@@ -508,6 +468,7 @@ class RootSumNorm(Norm):
     """
 
     family = "root_sum"
+    convexity_class = "strongly-convex"
 
     def __init__(self, dim: int):
         self.dim = int(dim)
@@ -536,10 +497,6 @@ class RootSumNorm(Norm):
         s = self._threshold(eta)
         tail = np.maximum(np.abs(eta) - s, 0.0)
         return math.sqrt(s * s + float(tail @ tail))
-
-    @property
-    def convexity_class(self):
-        return "strongly-convex"
 
     def regime_id(self, eta):
         eta = np.asarray(eta, dtype=float)
@@ -574,11 +531,6 @@ class RootSumNorm(Norm):
             return _point_set(np.zeros(self.dim), membership=member)
         return _vertex_hull(u + n1 * _sign_completions(u), member)
 
-    def subdiff_dual_energy(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        return _point_set(self.grad_dual_energy(eta),
-                          membership=self._dual_membership(eta))
-
 
 class OracleNorm(Norm):
     """Norm given only by a value callable; duals fall back to search.
@@ -590,6 +542,7 @@ class OracleNorm(Norm):
     """
 
     family = "oracle"
+    convexity_class = "unknown"
 
     def __init__(self, dim: int, value_fn: Callable[[np.ndarray], float],
                  restarts: int = 64, seed: int = 0):
@@ -600,10 +553,6 @@ class OracleNorm(Norm):
 
     def value(self, v):
         return float(self._value_fn(np.asarray(v, dtype=float)))
-
-    @property
-    def convexity_class(self):
-        return "unknown"
 
     def _best_direction(self, eta: np.ndarray) -> np.ndarray:
         rng = np.random.default_rng(self._seed)

@@ -173,8 +173,8 @@ def _restrict(lam: np.ndarray, polarization: tuple[int, ...]) -> np.ndarray:
 
 def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
                      lam: np.ndarray, t_end: float, step: float,
-                     polarization: tuple[int, ...] | None = None,
-                     locate_events: bool = True) -> Trajectory:
+                     polarization: tuple[int, ...] | None = None
+                     ) -> Trajectory:
     """Integrate the normal flow of a strictly convex norm.
 
     Fourth-order Runge-Kutta on the chart matrix.  Regime crossings of
@@ -231,7 +231,7 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
         g_next = rk4(points[i], k1, times[i], step)
         controls[i + 1], duals[i + 1] = control(g_next, times[i + 1])
         new_regime = norm.regime_id(duals[i + 1])
-        if locate_events and new_regime != regime:
+        if new_regime != regime:
             lo, hi = 0.0, step
             width = EVENT_WIDTH_FACTOR * step
             while hi - lo > width:
@@ -267,12 +267,11 @@ def _select_control(poly: Polyhedron, face, speed: float, rule: str
     Returns the control and the vertex ids supporting it; the support
     is what the persistent rule watches to decide admissibility.
     """
-    ids = face.vertex_ids
     if rule == "min_vertex":
-        pick = min(ids)
+        pick = min(face.vertex_ids)
         return speed * poly.vertices[pick], frozenset([pick])
-    support = frozenset(ids)
-    return speed * poly.vertices[list(ids)].mean(axis=0), support
+    mean = poly.vertices[list(face.vertex_ids)].mean(axis=0)
+    return speed * mean, face.vertex_set
 
 
 def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
@@ -302,7 +301,9 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
         return g @ groups.exp(spec, dt * _embed(u_v, spec.dim, pol))
 
     def face_at(g: np.ndarray):
-        return poly.face_of(groups.coadjoint_dual_point(spec, lam, g, pol))
+        """The exposed face at ``g`` and the dual point that exposes it."""
+        xi = groups.coadjoint_dual_point(spec, lam, g, pol)
+        return poly.face_of(xi), xi
 
     n_steps = int(round(t_end / step))
     times = step * np.arange(n_steps + 1)
@@ -313,13 +314,12 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
     face_ids = np.empty(n_steps + 1, dtype=int)
 
     g = spec.identity()
-    face = face_at(g)
+    face, xi = face_at(g)
     if start_control is not None:
         u = np.asarray(start_control, dtype=float)
-        xi0 = groups.coadjoint_dual_point(spec, lam, g, pol)
         slack = 1e-9 * max(1.0, speed * speed)
         if (abs(poly.value(u) - speed) > slack
-                or abs(float(xi0 @ u) - speed * speed) > slack):
+                or abs(float(xi @ u) - speed * speed) > slack):
             raise FlowError("start control is not a maximizer at t=0")
         # Conservative support: admissible only while the whole start
         # face survives.
@@ -329,7 +329,7 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
 
     points[0] = g
     controls[0] = u
-    duals[0] = groups.coadjoint_dual_point(spec, lam, g, pol)
+    duals[0] = xi
     face_ids[0] = face.fid
     events: list[FaceEvent] = []
     width = EVENT_WIDTH_FACTOR * step
@@ -339,16 +339,16 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
         remaining = step
         while remaining > 0.0:
             trial = advance(g, u, remaining)
-            new_face = face_at(trial)
+            new_face, trial_xi = face_at(trial)
             if new_face.fid == face.fid:
-                g = trial
+                g, xi = trial, trial_xi
                 t += remaining
                 remaining = 0.0
                 break
             lo, hi = 0.0, remaining
             while hi - lo > width:
                 mid = 0.5 * (lo + hi)
-                probe = face_at(advance(g, u, mid))
+                probe, _ = face_at(advance(g, u, mid))
                 if probe.fid != face.fid:
                     hi = mid
                 else:
@@ -356,7 +356,7 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
             g = advance(g, u, hi)
             t += hi
             remaining -= hi
-            new_face = face_at(g)
+            new_face, xi = face_at(g)
             events.append(FaceEvent(t, face.fid, new_face.fid))
             if len(events) > max_switches:
                 raise FaceThrashError(events)
@@ -365,7 +365,8 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
                 u, support = _select_control(poly, face, speed, rule)
         points[i + 1] = g
         controls[i + 1] = u
-        duals[i + 1] = groups.coadjoint_dual_point(spec, lam, g, pol)
+        # The last probe of the step was at the node itself.
+        duals[i + 1] = xi
         face_ids[i + 1] = face.fid
 
     return Trajectory(group=spec, norm=norm, polarization=pol, lam=lam,
@@ -532,16 +533,13 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
     header += [f"u{k}" for k in range(len(traj.polarization))]
     header += [f"xi{k}" for k in range(len(traj.polarization))]
     header += ["face_id"]
+    floats = np.column_stack([traj.times,
+                              traj.points.reshape(len(traj.times), -1),
+                              traj.controls, traj.duals]).tolist()
     with open(path, "w", newline="\n") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        for i in range(len(traj.times)):
-            row = [repr(float(traj.times[i]))]
-            row += [repr(float(x)) for x in traj.points[i].ravel()]
-            row += [repr(float(x)) for x in traj.controls[i]]
-            row += [repr(float(x)) for x in traj.duals[i]]
-            row += [str(int(traj.face_ids[i]))]
-            writer.writerow(row)
+        handle.write(",".join(header) + "\n")
+        for row, fid in zip(floats, traj.face_ids.tolist()):
+            handle.write(",".join(map(repr, row)) + f",{fid}\n")
 
 
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:

@@ -42,12 +42,16 @@ class Face:
         fid: Stable integer id, ordered by (dimension, vertex ids).
         vertex_ids: Sorted indices into ``Polyhedron.vertices``.
         dim: Affine dimension of the face.
-        witness: A covector exposing exactly this face, with unit dual norm.
+        facets: Sorted indices into ``Polyhedron.functionals`` of the
+            facets containing the face, i.e. its polar face.
+        witness: A covector exposing exactly this face, with unit dual
+            norm: the mean of its facet functionals.
     """
 
     fid: int
     vertex_ids: tuple[int, ...]
     dim: int
+    facets: tuple[int, ...]
     witness: np.ndarray
 
     @property
@@ -96,15 +100,15 @@ def _extreme_and_facets(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class Polyhedron:
     """A full-dimensional, origin-symmetric polytope unit ball."""
 
-    def __init__(self, vertices: np.ndarray, functionals: np.ndarray,
-                 validate: bool = True):
+    def __init__(self, vertices: np.ndarray, functionals: np.ndarray):
         self.vertices = np.asarray(vertices, dtype=float)
         self.functionals = np.asarray(functionals, dtype=float)
         self.dim = self.vertices.shape[1]
         self._faces: list[Face] | None = None
         self._face_by_set: dict[frozenset[int], Face] | None = None
-        if validate:
-            self._validate()
+        # Vertex ids on each facet, indexed like ``functionals``.
+        self._facet_sets: list[frozenset[int]] | None = None
+        self._validate()
 
     # -- construction ------------------------------------------------
 
@@ -171,12 +175,10 @@ class Polyhedron:
             self._build_faces()
         return self._faces
 
-    def _incidence(self) -> list[frozenset[int]]:
-        vals = self.functionals @ self.vertices.T
-        return [frozenset(np.nonzero(row >= 1.0 - 1e-9)[0]) for row in vals]
-
     def _build_faces(self) -> None:
-        facet_sets = self._incidence()
+        vals = self.functionals @ self.vertices.T
+        facet_sets = [frozenset(np.nonzero(row >= 1.0 - 1e-9)[0])
+                      for row in vals]
         seen: set[frozenset[int]] = set(facet_sets)
         queue = list(seen)
         while queue:
@@ -193,14 +195,15 @@ class Polyhedron:
             fdim = 0
             if len(ids) > 1:
                 fdim = int(np.linalg.matrix_rank(pts[1:] - pts[0], tol=1e-9))
-            active = [f for f, fs in zip(self.functionals, facet_sets)
-                      if vset <= fs]
-            witness = np.mean(active, axis=0)
-            faces.append((fdim, ids, witness))
+            facets = tuple(k for k, fs in enumerate(facet_sets) if vset <= fs)
+            faces.append((fdim, ids, facets))
         faces.sort(key=lambda item: (item[0], item[1]))
-        self._faces = [Face(fid, ids, fdim, witness)
-                       for fid, (fdim, ids, witness) in enumerate(faces)]
+        self._faces = [
+            Face(fid, ids, fdim, facets,
+                 np.mean(self.functionals[list(facets)], axis=0))
+            for fid, (fdim, ids, facets) in enumerate(faces)]
         self._face_by_set = {f.vertex_set: f for f in self._faces}
+        self._facet_sets = facet_sets
 
     def face_of(self, eta: np.ndarray) -> Face:
         """The face exposed by a nonzero covector.
@@ -221,7 +224,7 @@ class Polyhedron:
         face = self._face_by_set.get(active)
         if face is not None:
             return face
-        hit = [fs for fs in self._incidence() if active <= fs]
+        hit = [fs for fs in self._facet_sets if active <= fs]
         if not hit:
             raise PolyhedronError("active set lies on no facet")
         snapped = frozenset.intersection(*hit)
@@ -328,13 +331,13 @@ class StarCovering:
     delta: float
 
     def covering_stars(self, xi: np.ndarray) -> list[int]:
-        """Indices of base covectors whose open star contains ``xi``."""
-        target = self.poly.face_of(xi).vertex_set
-        out = []
-        for idx, fid in enumerate(self.base_face_ids):
-            if target <= self.poly.faces()[fid].vertex_set:
-                out.append(idx)
-        return out
+        """Indices of base covectors whose open star contains ``xi``.
+
+        The base covectors are the facet functionals, and the star of a
+        facet contains ``xi`` exactly when the facet contains the face
+        ``xi`` exposes.
+        """
+        return list(self.poly.face_of(xi).facets)
 
     def to_json_dict(self) -> dict:
         return {

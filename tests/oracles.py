@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's analytic code paths:
 dual energies come from direct numerical maximization, face lattices
-from feasibility programs over vertex subsets, and adjoint images from
+from feasibility programs over vertex subsets, the window rule of the
+stability check from unions over that lattice, and adjoint images from
 explicit matrix conjugation resolved by least squares.  The sum and
 max norm subdifferentials have closed forms, spelled out coordinate by
 coordinate.
@@ -103,6 +104,17 @@ def face_lattice_bruteforce(vertices: np.ndarray,
         if res.success and res.x[-1] > margin_tol:
             found.add(frozenset(subset))
     return found
+
+
+def faces_share_a_closed_face(lattice: set[frozenset[int]],
+                              vertex_sets: list[frozenset[int]]) -> bool:
+    """Whether one face of ``lattice`` contains every given face.
+
+    The window rule of a face stability check, by vertex sets: the
+    union of the faces' vertices must lie in a single face.
+    """
+    union = frozenset().union(*vertex_sets)
+    return any(union <= face for face in lattice)
 
 
 def adjoint_by_conjugation(basis: np.ndarray, g: np.ndarray,

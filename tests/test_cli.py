@@ -282,6 +282,48 @@ def test_oversized_dim_exits_2_before_the_ball_is_built(tmp_path, capsys,
     assert "does not match the 2 polarization" in capsys.readouterr().err
 
 
+BAD_VALUES = {
+    # case: (command, scenario keys replaced, extra arguments)
+    "zero_step": ("integrate", {"step": 0}, []),
+    "negative_step": ("integrate", {"step": -0.01}, []),
+    "nan_step": ("integrate", {"step": math.nan}, []),
+    "string_step": ("integrate", {"step": "a"}, []),
+    "zero_step_flag": ("integrate", {}, ["--step", "0"]),
+    "negative_t_end": ("integrate", {"t_end": -1.0}, []),
+    "nan_t_end": ("integrate", {"t_end": math.nan}, []),
+    "infinite_t_end": ("integrate", {"t_end": math.inf}, []),
+    "string_covector_entry": ("integrate", {"covector": [0.3, "a", 0.8]},
+                              []),
+    "nan_covector_entry": ("integrate", {"covector": [0.3, math.nan, 0.8]},
+                           []),
+    "string_covector_b_entry": ("branch", {"covector_b": [0.3, "a", 0.8]},
+                                []),
+    "null_reference_direction_entry": (
+        "branch", {"reference_direction": [1.0, None]}, []),
+    "polarization_out_of_range": ("integrate", {"polarization": [0, 7]}, []),
+    "repeated_polarization": ("integrate", {"polarization": [0, 0]}, []),
+    "unknown_rule": ("integrate", {"rule": "sideways"}, []),
+    "negative_window": ("certify", {"window": -1.0}, []),
+    "zero_window": ("certify", {"window": 0.0}, []),
+    "negative_eps": ("shortcut", {"eps": -1.0}, []),
+    "name_with_separator": ("integrate", {"name": "sub/bad"}, []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_scenario_values_exit_2(tmp_path, capsys, case):
+    command, changes, extra = BAD_VALUES[case]
+    scenario = {"name": "bad", "group": "heisenberg", "polarization": [0, 1],
+                "norm": {"family": "linf", "dim": 2},
+                "covector": [0.3, 0.5, 0.8], "t_end": 0.1, "step": 0.01,
+                **changes}
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(scenario))
+    code = run(command, "--config", src, "--out", tmp_path / "out", *extra)
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_wrong_covector_length_exits_2(tmp_path, capsys):
     src = tmp_path / "short.json"
     src.write_text(json.dumps({

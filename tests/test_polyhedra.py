@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from subfinsler import (
+    PolyhedralNorm,
     Polyhedron,
     PolyhedronError,
     l1_ball,
     linf_ball,
     regular_polygon_ball,
+    translation_group,
+    verify_face_stability,
 )
+from subfinsler.certify import MEstimate
+from subfinsler.flow import FaceEvent, Trajectory
 from subfinsler.polyhedra import _polytope_pair_distance
 
-from oracles import face_lattice_bruteforce
+from oracles import face_lattice_bruteforce, faces_share_a_closed_face
 
 BALLS = [
     ("diamond2", l1_ball, 2),
@@ -146,6 +151,61 @@ def test_face_of_snaps_glued_active_sets():
         i for i, v in enumerate(cube.vertices) if v[0] == 1.0}
 
 
+# -- face containment ------------------------------------------------------
+
+
+def test_face_facets_are_the_facets_containing_it(any_ball):
+    vals = any_ball.functionals @ any_ball.vertices.T
+    for face in any_ball.faces():
+        on_facet = vals[:, list(face.vertex_ids)] >= 1.0 - 1e-9
+        expected = tuple(int(k) for k in np.nonzero(on_facet.all(axis=1))[0])
+        assert face.facets == expected
+        assert np.array_equal(
+            face.witness, np.mean(any_ball.functionals[list(expected)],
+                                  axis=0))
+        if face.dim == any_ball.dim - 1:
+            assert len(face.facets) == 1
+
+
+def _face_walk(ball, fids):
+    """A face history on ``ball`` visiting ``fids`` in turn on [0, 1].
+
+    Only the face history matters to the window check; the chart points
+    stay at the identity.
+    """
+    dim = ball.dim
+    times = np.array([0.0, 1.0])
+    events = [FaceEvent(k / len(fids), fids[k - 1], fids[k])
+              for k in range(1, len(fids))]
+    return Trajectory(
+        group=translation_group(dim), norm=PolyhedralNorm(ball),
+        polarization=tuple(range(dim)), lam=np.ones(dim), times=times,
+        points=np.tile(np.eye(dim + 1), (2, 1, 1)),
+        controls=np.zeros((2, dim)), duals=np.zeros((2, dim)),
+        face_ids=np.array([fids[0], fids[-1]]), speed=1.0, events=events,
+        rule="persistent", step=1.0)
+
+
+def test_window_check_matches_the_union_rule(any_ball, rng):
+    # One window spans the whole walk, so the verdict is the window
+    # rule applied to the visited faces.
+    lattice = face_lattice_bruteforce(any_ball.vertices)
+    faces = any_ball.faces()
+    est = MEstimate(1.0, 1.0, "analytic-central")
+    verdicts = set()
+    for _ in range(60):
+        size = int(rng.integers(2, 4))
+        fids = [int(f) for f in rng.choice(len(faces), size, replace=False)]
+        cert = verify_face_stability(_face_walk(any_ball, fids), window=1.0,
+                                     m_estimate=est, delta=1.0,
+                                     lam_reference_dual=1.0)
+        expected = faces_share_a_closed_face(
+            lattice, [faces[f].vertex_set for f in fids])
+        assert cert.verdict == expected, fids
+        verdicts.add(cert.verdict)
+    assert verdicts == {True, False}
+
+
 # -- stars and the covering bound -----------------------------------------
 
 
@@ -195,6 +255,20 @@ def test_covering_stars_nonempty(any_ball, rng):
     for _ in range(500):
         eta = rng.standard_normal(any_ball.dim)
         assert covering.covering_stars(eta)
+
+
+def test_covering_stars_are_the_facet_stars_holding_the_face(any_ball, rng):
+    # The definition by vertex sets: star ``idx`` contains ``xi`` when
+    # the base facet ``idx`` contains the face ``xi`` exposes.
+    covering = any_ball.star_covering()
+    faces = any_ball.faces()
+    probes = [rng.standard_normal(any_ball.dim) for _ in range(200)]
+    probes += [face.witness for face in faces]
+    for xi in probes:
+        target = any_ball.face_of(xi).vertex_set
+        expected = [idx for idx, fid in enumerate(covering.base_face_ids)
+                    if target <= faces[fid].vertex_set]
+        assert covering.covering_stars(xi) == expected
 
 
 def test_lebesgue_property(any_ball, rng):
