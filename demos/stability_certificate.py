@@ -35,8 +35,10 @@ def main() -> None:
         print(f"  t = {event.t:.6f}: face {event.from_face} "
               f"-> face {event.to_face}")
     print(f"covering bound delta = {cert.delta:.6g}")
-    print(f"adjoint bracket bound M = {cert.m_estimate.value:.6g} "
-          f"({cert.m_estimate.method})")
+    m = cert.m_estimate
+    print(f"adjoint bracket bound M = bracket * exp(radius * rate) = "
+          f"{m.bracket:.6g} * exp({m.radius:.6g} * {m.rate:.6g}) "
+          f"= {m.value:.6g}")
     print(f"window = delta / (dual size * M) = {cert.window:.6g}")
     print(f"verdict: {'stable on every window' if cert.verdict else 'VIOLATED'}")
     for bad in cert.violations:

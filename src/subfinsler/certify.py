@@ -6,12 +6,13 @@ a bound ``M`` on how fast the adjoint action can move dual points,
 
     M(rho) = max { N(Ad_g [X, Y]) : d(1, g) <= rho, N(X) = N(Y) = 1 },
 
-where ``N`` is a reference norm on algebra coordinates (max norm by
-default) and the distance is the sub-Finsler one; and the observation
-that the dual point of a normal curve of speed ``r`` moves at rate at
-most ``r * N*(lam) * M``.  Consequently the exposed faces seen inside
-any time window shorter than ``delta / (N*(lam) * M)`` all contain a
-common dual-sphere point, hence lie in a common closed face.
+where ``N`` is the max norm on algebra coordinates and the distance is
+the sub-Finsler one of the curve's own ball (:func:`adjoint_bracket_bound`
+gives ``M`` in closed form); and the observation that the dual point of
+a normal curve of speed ``r`` moves at rate at most ``r * N*(lam) * M``.
+Consequently the exposed faces seen inside any time window shorter than
+``delta / (N*(lam) * M)`` all contain a common dual-sphere point, hence
+lie in a common closed face.
 
 :func:`verify_face_stability` checks that conclusion window by window
 on an integrated trajectory, :func:`finsler_short_bound` turns it into
@@ -27,33 +28,37 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from itertools import product
 
 import numpy as np
+from scipy.linalg import qr
 
 from . import convex, flow, groups
-
-# Multiplicative safety margin applied to sampled suprema.
-SAMPLED_INFLATION = 1.1
+from .polyhedra import Polyhedron
 
 
 @dataclass(frozen=True)
 class MEstimate:
-    """A bound on the adjoint bracket growth at a given radius.
+    """The adjoint bracket bound ``M(radius) = bracket * exp(radius * rate)``.
 
-    ``method`` is ``analytic-abelian``, ``analytic-central``, or
-    ``sampled``; sampled values are inflated by ``SAMPLED_INFLATION``
-    and carry their sampling resolution.
+    ``bracket`` bounds ``N([X, Y])`` measured through the derived algebra
+    and ``rate`` bounds how fast ``Ad_g`` can stretch it per unit of
+    length; both are read off the structure constants and the ball, so
+    the JSON form carries everything needed to recompute ``value``.
     """
 
-    value: float
     radius: float
-    method: str
-    resolution: dict = dataclass_field(default_factory=dict)
+    bracket: float
+    rate: float
+
+    @property
+    def value(self) -> float:
+        return self.bracket * math.exp(self.radius * self.rate)
 
     def to_json_dict(self) -> dict:
         return {"value": float(self.value), "radius": float(self.radius),
-                "method": self.method,
-                "resolution": {k: int(v) for k, v in self.resolution.items()}}
+                "method": "closed-form", "bracket": float(self.bracket),
+                "rate": float(self.rate)}
 
 
 @dataclass
@@ -88,109 +93,52 @@ class StabilityCertificate:
 # The adjoint bracket bound
 
 
-def _unit_sphere_extremes(norm: convex.Norm) -> np.ndarray | None:
-    """Extreme points of the unit ball, when the ball is a polytope."""
-    if isinstance(norm, convex.PolyhedralNorm):
-        return norm.poly.vertices
-    return None
-
-
-def _brackets_are_central(spec: groups.GroupSpec) -> bool:
-    """Whether every bracket lands in the center of the algebra.
-
-    In that case Ad_g fixes all bracket values, so the bound does not
-    depend on the group point at all.
-    """
-    for i in range(spec.dim):
-        for j in range(spec.dim):
-            if np.max(np.abs(groups.ad_matrix(spec, spec.structure[i, j]))
-                      ) > 1e-12:
-                return False
-    return True
-
-
-def _pairwise_bracket_max(spec: groups.GroupSpec, n_norm: convex.Norm,
-                          adj: np.ndarray, extremes: np.ndarray) -> float:
-    best = 0.0
-    for x in extremes:
-        ad_x = groups.ad_matrix(spec, x)
-        for y in extremes:
-            best = max(best, n_norm.value(adj @ (ad_x @ y)))
-    return best
-
-
 def adjoint_bracket_bound(spec: groups.GroupSpec, radius: float,
-                          n_norm: convex.Norm | None = None,
-                          ball_norm: convex.Norm | None = None,
-                          polarization: tuple[int, ...] | None = None,
-                          n_group: int = 256, pieces: int = 3,
-                          n_pairs: int = 512, seed: int = 0) -> MEstimate:
-    """Bound N(Ad_g [X, Y]) over the radius ball and unit X, Y.
+                          ball: Polyhedron,
+                          polarization: tuple[int, ...] | None = None
+                          ) -> MEstimate:
+    """Bound N(Ad_g [X, Y]) over the radius ball and N(X) = N(Y) = 1.
 
-    ``n_norm`` defaults to the max norm on algebra coordinates and
-    measures both the constraint on X, Y and the value.  Group points
-    range over the closed sub-Finsler ball of the given radius, reached
-    by piecewise one-parameter arcs of admissible velocities measured
-    in ``ball_norm`` (defaults to ``n_norm`` restricted to the
-    polarization).
+    ``N`` is the max norm on algebra coordinates and ``g`` ranges over
+    the points reached from the identity by curves of length at most
+    ``radius`` whose velocities, on the ``polarization``, are measured
+    by the gauge of ``ball``.
 
-    Abelian algebras give zero exactly.  When every bracket is central
-    the adjoint action drops out and, for a polytope reference ball,
-    the maximum over extreme pairs is exact.  All remaining cases are
-    sampled and inflated by ``SAMPLED_INFLATION``.
+    Brackets lie in the derived algebra ``D = [g, g]``, with orthonormal
+    basis ``Q`` from pivoted QR, and ``Ad_g`` preserves ``D``.  So
+    ``N(Ad_g Z) <= max_i |Q^T e_i|_2 * |Q^T Ad_g Q|_2 * |Z|_2``, and the
+    Euclidean norm of a bracket of unit-cube vectors peaks at a pair of
+    cube vertices, since the bracket is bilinear.  Along a curve
+    ``d/dt Ad_g = Ad_g ad_u``, so by Groenwall ``|Q^T Ad_g Q|_2`` is at
+    most ``exp(length * rate)``, where ``rate`` is the largest
+    logarithmic norm ``lambda_max(sym(Q^T ad_v Q))`` over the vertices
+    ``v`` of the ball (it is sublinear in ``v``).  When ``dim D <= 1``,
+    ``Ad_g`` acts on ``D`` as a scalar and the bound is attained by the
+    arc along the best vertex.
     """
-    if n_norm is None:
-        n_norm = convex.MaxNorm(spec.dim)
-    if np.max(np.abs(spec.structure)) == 0.0:
-        return MEstimate(0.0, radius, "analytic-abelian")
-
-    extremes = _unit_sphere_extremes(n_norm)
-    central = _brackets_are_central(spec)
-    if central and extremes is not None:
-        value = _pairwise_bracket_max(spec, n_norm, np.eye(spec.dim),
-                                      extremes)
-        return MEstimate(value, radius, "analytic-central",
-                         {"pairs": len(extremes) ** 2})
-
     pol = spec.polarization if polarization is None else tuple(polarization)
-    if ball_norm is None:
-        ball_norm = convex.MaxNorm(len(pol))
-    rng = np.random.default_rng(seed)
-    group_points = [spec.identity()]
-    for _ in range(n_group):
-        g = spec.identity()
-        weights = rng.dirichlet(np.ones(pieces))
-        for k in range(pieces):
-            direction = rng.standard_normal(len(pol))
-            direction /= ball_norm.value(direction)
-            coords = np.zeros(spec.dim)
-            coords[list(pol)] = direction
-            sign = 1.0 if rng.uniform() < 0.5 else -1.0
-            g = g @ groups.exp(spec, sign * radius * weights[k] * coords)
-        group_points.append(g)
+    structure = spec.structure
+    q, r, _ = qr(structure.reshape(-1, spec.dim).T, mode="economic",
+                 pivoting=True)
+    pivots = np.abs(np.diag(r))
+    q = q[:, pivots > 1e-12 * pivots[0]]
+    corners = np.array(list(product((-1.0, 1.0), repeat=spec.dim)))
+    brackets = np.einsum("ai,bj,ijk->abk", corners, corners, structure)
+    bracket = (float(np.max(np.linalg.norm(q, axis=1)))
+               * float(np.max(np.linalg.norm(brackets, axis=-1))))
+    velocities = np.zeros((len(ball.vertices), spec.dim))
+    velocities[:, list(pol)] = ball.vertices
+    ads = np.array([groups.ad_matrix(spec, v) for v in velocities])
+    sym = q.T @ (0.5 * (ads + ads.transpose(0, 2, 1))) @ q
+    # The ball is symmetric, so the rate is never negative; 0 covers an
+    # abelian algebra, where D is trivial.
+    rate = float(np.max(np.linalg.eigvalsh(sym), initial=0.0))
+    return MEstimate(radius, bracket, rate)
 
-    if extremes is None:
-        pair_list = rng.standard_normal((n_pairs, 2, spec.dim))
-        resolution = {"group_points": len(group_points), "pairs": n_pairs,
-                      "pieces": pieces}
-    else:
-        pair_list = None
-        resolution = {"group_points": len(group_points),
-                      "pairs": len(extremes) ** 2, "pieces": pieces}
 
-    best = 0.0
-    for g in group_points:
-        adj = groups.adjoint_matrix(spec, g)
-        if extremes is not None:
-            best = max(best, _pairwise_bracket_max(spec, n_norm, adj,
-                                                   extremes))
-        else:
-            for x_raw, y_raw in pair_list:
-                x = x_raw / n_norm.value(x_raw)
-                y = y_raw / n_norm.value(y_raw)
-                best = max(best,
-                           n_norm.value(adj @ groups.bracket(spec, x, y)))
-    return MEstimate(SAMPLED_INFLATION * best, radius, "sampled", resolution)
+def _reference_dual(lam: np.ndarray) -> float:
+    """N*(lam): the sum norm, dual to the max norm N."""
+    return float(np.sum(np.abs(lam)))
 
 
 def stability_window(delta: float, lam_reference_dual: float,
@@ -262,26 +210,21 @@ def verify_face_stability(traj: flow.Trajectory, window: float,
 
 
 def certify_trajectory(traj: flow.Trajectory,
-                       n_norm: convex.Norm | None = None,
                        window: float | None = None) -> StabilityCertificate:
     """Full pipeline: covering bound, adjoint bound, windowed check.
 
     The adjoint bound radius is the curve length, since the curve
-    starts at the identity.  An explicit ``window`` overrides the
-    derived one.
+    starts at the identity, and its ball is the curve's own.  An
+    explicit ``window`` overrides the derived one.
     """
-    spec = traj.group
-    if n_norm is None:
-        n_norm = convex.MaxNorm(spec.dim)
-    covering = convex.as_polyhedron(traj.norm).star_covering()
+    ball = convex.as_polyhedron(traj.norm)
+    delta = ball.star_covering().delta
     radius = traj.speed * float(traj.times[-1])
-    m_est = adjoint_bracket_bound(spec, radius, n_norm=n_norm,
-                                  polarization=traj.polarization)
-    lam_dual = n_norm.dual_value(traj.lam)
+    m_est = adjoint_bracket_bound(traj.group, radius, ball, traj.polarization)
+    lam_dual = _reference_dual(traj.lam)
     if window is None:
-        window = stability_window(covering.delta, lam_dual, m_est.value)
-    return verify_face_stability(traj, window, m_est, covering.delta,
-                                 lam_dual)
+        window = stability_window(delta, lam_dual, m_est.value)
+    return verify_face_stability(traj, window, m_est, delta, lam_dual)
 
 
 def finsler_short_bound(delta: float, m_of_radius, l_max: float = 64.0,
@@ -311,8 +254,7 @@ def finsler_short_bound(delta: float, m_of_radius, l_max: float = 64.0,
     return lo
 
 
-def abelianized_minimality(sub: groups.SubmetryData, traj: flow.Trajectory,
-                           n_norm: convex.Norm | None = None
+def abelianized_minimality(sub: groups.SubmetryData, traj: flow.Trajectory
                            ) -> StabilityCertificate:
     """Windowed face check for the projected curve in the abelianization.
 
@@ -332,13 +274,10 @@ def abelianized_minimality(sub: groups.SubmetryData, traj: flow.Trajectory,
             or np.linalg.matrix_rank(dpi_v, tol=1e-12) < dpi_v.shape[0]):
         raise ValueError("the differential of the submetry is not "
                          "invertible on the polarization")
-    spec = sub.source
-    if n_norm is None:
-        n_norm = convex.MaxNorm(spec.dim)
-    delta = convex.as_polyhedron(traj.norm).star_covering().delta
-    m_est = adjoint_bracket_bound(spec, 1.0, n_norm=n_norm,
-                                  polarization=traj.polarization)
-    lam_dual = n_norm.dual_value(traj.lam)
+    ball = convex.as_polyhedron(traj.norm)
+    delta = ball.star_covering().delta
+    m_est = adjoint_bracket_bound(sub.source, 1.0, ball, traj.polarization)
+    lam_dual = _reference_dual(traj.lam)
     alpha = delta if m_est.value == 0.0 else delta / m_est.value
     cert = verify_face_stability(traj, alpha / lam_dual, m_est, delta,
                                  lam_dual)

@@ -78,13 +78,19 @@ _VALUE_CHECKS = {
     "reference_direction": (_or_null(_is_finite_list),
                             "a list of finite numbers"),
     "polarization": (_or_null(_is_index_list), "a list of distinct integers"),
+    "seed": (lambda v: isinstance(v, int) and not isinstance(v, bool),
+             "an integer"),
+    "abelianized": (lambda v: isinstance(v, bool), "true or false"),
 }
 
 
 @dataclass
 class ScenarioConfig:
     """One run: group, norm, covector(s), horizon, step, rule, seed;
-    construction checks the values in ``_VALUE_CHECKS`` (exit 2)."""
+    construction checks the values in ``_VALUE_CHECKS`` and that
+    ``t_end`` is a whole number of steps (exit 2).  ``seed`` is a
+    provenance label written into the ``integrate`` metadata; it
+    affects no number."""
 
     name: str
     group: str
@@ -122,6 +128,12 @@ class ScenarioConfig:
             value = getattr(self, key)
             if not check(value):
                 raise ScenarioError(f"{key} must be {wanted}, got {value!r}")
+        # The integrators take round(t_end / step) steps.
+        steps = self.t_end / self.step
+        if not (math.isfinite(steps) and math.isclose(
+                round(steps) * self.step, self.t_end, rel_tol=1e-9)):
+            raise ScenarioError(f"t_end {self.t_end!r} is not a whole "
+                                f"number of steps {self.step!r}")
 
     def build_group(self) -> groups.GroupSpec:
         try:

@@ -4,7 +4,9 @@ Everything here deliberately avoids the library's analytic code paths:
 dual energies come from direct numerical maximization, face lattices
 from feasibility programs over vertex subsets, the window rule of the
 stability check from unions over that lattice, and adjoint images from
-explicit matrix conjugation resolved by least squares.  The sum and
+explicit matrix conjugation resolved by least squares.  The adjoint
+bracket bound is sampled over group points reached through the curve's
+own ball.  The sum and
 max norm subdifferentials have closed forms, spelled out coordinate by
 coordinate.
 """
@@ -128,6 +130,74 @@ def adjoint_by_conjugation(basis: np.ndarray, g: np.ndarray,
     recon = flat @ coords
     assert np.max(np.abs(recon - conj.ravel())) < 1e-9
     return coords
+
+
+def cube_bracket_coordinates(basis: np.ndarray) -> np.ndarray:
+    """Coordinates of [X, Y] for every pair of unit-cube vertices X, Y,
+    from matrix commutators resolved by least squares."""
+    basis = np.asarray(basis, dtype=float)
+    dim = basis.shape[0]
+    corners = np.array(list(product((-1.0, 1.0), repeat=dim)))
+    mats = np.einsum("ci,iab->cab", corners, basis)
+    comms = np.array([(x @ y - y @ x).ravel() for x in mats for y in mats])
+    flat = basis.reshape(dim, -1).T
+    coords = np.linalg.lstsq(flat, comms.T, rcond=None)[0].T
+    assert np.max(np.abs(coords @ flat.T - comms)) < 1e-9
+    return coords
+
+
+def adjoint_bracket_max(basis: np.ndarray, g: np.ndarray,
+                        brackets: np.ndarray) -> float:
+    """max |Ad_g [X, Y]|_inf over the given bracket coordinates, with
+    Ad_g by explicit conjugation."""
+    adj = np.column_stack([adjoint_by_conjugation(basis, g, e)
+                           for e in np.eye(len(basis))])
+    return float(np.max(np.abs(brackets @ adj.T)))
+
+
+def _arc(basis: np.ndarray, polarization, velocity: np.ndarray,
+         length: float) -> np.ndarray:
+    coords = np.zeros(len(basis))
+    coords[list(polarization)] = velocity
+    return expm(length * np.einsum("i,iab->ab", coords, basis))
+
+
+def sampled_adjoint_bracket_max(basis: np.ndarray, vertices: np.ndarray,
+                                polarization, radius: float,
+                                rng: np.random.Generator, n_group: int = 256,
+                                pieces: int = 3) -> float:
+    """Largest |Ad_g [X, Y]|_inf over unit-cube X, Y and sampled points g
+    of the radius ball of conv(vertices).
+
+    Each point is a product of ``pieces`` one-parameter arcs whose
+    lengths sum to ``radius`` and whose velocities on the polarization
+    lie in the ball: a vertex half of the time, otherwise a random
+    convex combination of the vertices.  No inflation is applied, so
+    the result is a lower bound on the true supremum.
+    """
+    vertices = np.asarray(vertices, dtype=float)
+    brackets = cube_bracket_coordinates(basis)
+    best = float(np.max(np.abs(brackets)))
+    for _ in range(n_group):
+        g = np.eye(basis.shape[1])
+        for weight in rng.dirichlet(np.ones(pieces)):
+            if rng.uniform() < 0.5:
+                velocity = vertices[rng.integers(len(vertices))]
+            else:
+                velocity = rng.dirichlet(np.ones(len(vertices))) @ vertices
+            g = g @ _arc(basis, polarization, velocity, weight * radius)
+        best = max(best, adjoint_bracket_max(basis, g, brackets))
+    return best
+
+
+def vertex_arc_bracket_max(basis: np.ndarray, vertices: np.ndarray,
+                           polarization, radius: float) -> float:
+    """Largest |Ad_g [X, Y]|_inf over unit-cube X, Y and the endpoints g
+    of the arcs of length ``radius`` along a single vertex."""
+    brackets = cube_bracket_coordinates(basis)
+    return max(adjoint_bracket_max(basis, _arc(basis, polarization, v,
+                                               radius), brackets)
+               for v in np.asarray(vertices, dtype=float))
 
 
 def adjoint_by_exp_ad(structure: np.ndarray, x: np.ndarray,

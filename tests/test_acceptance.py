@@ -269,7 +269,7 @@ def test_every_window_keeps_a_common_face():
             coords = np.array([comm[0, 1], comm[1, 2], comm[0, 2]])
             brute = max(brute, float(np.max(np.abs(coords))))
     assert brute == 2.0
-    est = MEstimate(2.0, 3.0, "analytic-central")
+    est = MEstimate(radius=3.0, bracket=2.0, rate=0.0)
     window = delta / 2.0  # reference dual 1, growth bound 2
     rng = np.random.default_rng(707)
     for _ in range(100):

@@ -1,19 +1,27 @@
 """Stability certificates, adjoint bounds, and the vertical shortcut."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
+from oracles import (
+    adjoint_bracket_max,
+    cube_bracket_coordinates,
+    sampled_adjoint_bracket_max,
+    vertex_arc_bracket_max,
+)
 from subfinsler import (
-    EuclideanNorm,
     MaxNorm,
     PolyhedralNorm,
     Polyhedron,
     abelianized_minimality,
     adjoint_bracket_bound,
+    affine_line_group,
     certify_trajectory,
     finsler_short_bound,
+    group_by_name,
     heisenberg_abelianization,
     heisenberg_group,
     integrate_polyhedral,
@@ -26,21 +34,23 @@ from subfinsler import (
 )
 from subfinsler.certify import MEstimate
 from subfinsler.flow import FaceEvent, Trajectory
-from subfinsler.groups import exp as group_exp
+from subfinsler.groups import _REGISTRY as GROUPS, exp as group_exp
 
 
 # -- the adjoint bracket bound ------------------------------------------------
 
 
 def test_bound_abelian_is_zero():
-    est = adjoint_bracket_bound(translation_group(3), radius=5.0)
+    est = adjoint_bracket_bound(translation_group(3), radius=5.0,
+                                ball=linf_ball(3))
     assert est.value == 0.0
-    assert est.method == "analytic-abelian"
+    assert est.to_json_dict()["method"] == "closed-form"
 
 
 def test_bound_heisenberg_maxnorm_is_two():
-    est = adjoint_bracket_bound(heisenberg_group(), radius=3.0)
-    assert est.method == "analytic-central"
+    est = adjoint_bracket_bound(heisenberg_group(), radius=3.0,
+                                ball=linf_ball(3))
+    assert est.to_json_dict()["method"] == "closed-form"
     assert est.value == 2.0
     # Independent brute force straight from the chart: commutators of
     # cube-vertex combinations, coordinates read off the chart entries.
@@ -58,15 +68,78 @@ def test_bound_heisenberg_maxnorm_is_two():
 
 
 def test_bound_rotation_sampled_brackets():
-    # Euclidean brackets on the rotation algebra have operator bound 1
-    # (the cross product of unit vectors); the sampled estimate carries
-    # a 1.1 inflation and the adjoint action is isometric.
-    est = adjoint_bracket_bound(rotation_group(), radius=1.0,
-                                n_norm=EuclideanNorm(3),
-                                n_group=64, n_pairs=256, seed=1)
-    assert est.method == "sampled"
-    assert 0.9 <= est.value <= 1.1 + 1e-9
-    assert est.resolution["pairs"] == 256
+    # ad is skew in rotation coordinates, so Ad_g is orthogonal and the
+    # bound is the largest Euclidean bracket of two cube vertices, the
+    # cross product (1, 1, 1) x (1, 1, -1) of length 2 sqrt 2, at any
+    # radius.
+    for radius in (0.5, 1.0, 3.0):
+        est = adjoint_bracket_bound(rotation_group(), radius=radius,
+                                    ball=linf_ball(3))
+        assert est.rate == 0.0
+        assert abs(est.value - 2.0 * math.sqrt(2.0)) <= 1e-12
+
+
+def test_bound_covers_the_curves_own_ball():
+    # The velocity ball sticks far out of the unit square along b, and
+    # Ad_g scales the derived algebra span(B1) by exp(b), so the
+    # supremum over the ball, 2 exp(3 rho), is attained by the arc
+    # along (0.2, 3).  A bound over the unit square's ball gave 44.6
+    # here, below what the curve itself reaches (601.9).
+    ball = Polyhedron.from_vertices(np.array([
+        [0.2, 3.0], [-0.2, 3.0], [0.2, -3.0], [-0.2, -3.0]]))
+    spec = affine_line_group()
+    traj = integrate_polyhedral(spec, PolyhedralNorm(ball), [0.05, 1.0],
+                                1.0, 1e-3)
+    brackets = cube_bracket_coordinates(spec.basis)
+    own = max(adjoint_bracket_max(spec.basis, g, brackets)
+              for g in traj.points)
+    assert own == pytest.approx(601.9, abs=0.05)
+    m = certify_trajectory(traj).m_estimate
+    assert m.radius == pytest.approx(3.01, abs=1e-12)
+    assert m.value == pytest.approx(2.0 * math.exp(3.0 * 3.01), rel=1e-12)
+    assert m.value >= own
+    assert m.value == pytest.approx(
+        vertex_arc_bracket_max(spec.basis, ball.vertices, (0, 1),
+                               m.radius), rel=1e-12)
+
+
+def _test_ball(kind: str, dim: int, rng: np.random.Generator) -> Polyhedron:
+    """The max-norm cube, a random symmetric polytope, or a box that
+    sticks far out of the cube along the second axis."""
+    if kind == "cube":
+        return linf_ball(dim)
+    if kind == "random":
+        half = rng.standard_normal((4, dim))
+        return Polyhedron.from_vertices(np.vstack([half, -half]))
+    corners = np.array(list(product((-1.0, 1.0), repeat=dim)))
+    return Polyhedron.from_vertices(corners * [0.2, 3.0, 1.0][:dim])
+
+
+@pytest.mark.parametrize("ball_kind", ["cube", "random", "stretched"])
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_bound_dominates_sampled_and_own_brackets(group, ball_kind):
+    rng = np.random.default_rng(7)
+    spec = group_by_name(group)
+    pol = spec.polarization
+    ball = _test_ball(ball_kind, len(pol), rng)
+    lam = rng.uniform(-1.0, 1.0, spec.dim)
+    traj = integrate_polyhedral(spec, PolyhedralNorm(ball), lam, 1.0, 1e-2)
+    radius = traj.speed
+    closed = adjoint_bracket_bound(spec, radius, ball, pol).value
+    sampled = sampled_adjoint_bracket_max(spec.basis, ball.vertices, pol,
+                                          radius, rng, n_group=64)
+    assert sampled <= closed * (1.0 + 1e-12)
+    brackets = cube_bracket_coordinates(spec.basis)
+    for t, g in zip(traj.times, traj.points):
+        m_t = adjoint_bracket_bound(spec, traj.speed * t, ball, pol).value
+        assert adjoint_bracket_max(spec.basis, g, brackets) <= (
+            m_t * (1.0 + 1e-9) + 1e-12)
+    derived_dim = np.linalg.matrix_rank(spec.structure.reshape(-1, spec.dim))
+    if derived_dim <= 1:
+        arc = vertex_arc_bracket_max(spec.basis, ball.vertices, pol, radius)
+        assert closed == pytest.approx(arc, rel=1e-12, abs=1e-12)
+    else:
+        assert group == "rotation"
 
 
 def test_stability_window_algebra():
@@ -101,7 +174,7 @@ def test_certify_generic_heisenberg_run():
     payload = cert.to_json_dict()
     assert payload["verdict"] is True
     assert payload["kind"] == "face-stability"
-    assert payload["m"]["method"] == "analytic-central"
+    assert payload["m"]["method"] == "closed-form"
 
 
 def test_verify_face_stability_negative_control():
@@ -124,7 +197,7 @@ def test_verify_face_stability_negative_control():
         speed=3.0,
         events=[FaceEvent(0.45, v_plus.fid, v_minus.fid)],
         rule="persistent", step=0.1)
-    est = MEstimate(2.0, 3.0, "analytic-central")
+    est = MEstimate(radius=3.0, bracket=2.0, rate=0.0)
     cert = verify_face_stability(fake, window=0.5, m_estimate=est,
                                  delta=2.0, lam_reference_dual=1.0)
     assert not cert.verdict
@@ -140,7 +213,7 @@ def test_adjacent_faces_within_window_are_fine():
     traj = integrate_polyhedral(heis, MaxNorm(3), [0.3, 0.5, 0.8],
                                 0.5, 1e-2)
     assert traj.events  # the xi_1 sign change happens before t = 0.5
-    est = MEstimate(2.0, 0.8, "analytic-central")
+    est = MEstimate(radius=0.8, bracket=2.0, rate=0.0)
     # Window short enough to fit the run but long enough to straddle
     # the switch, so the compatibility logic is actually exercised.
     cert = verify_face_stability(traj, window=0.3, m_estimate=est,
@@ -248,4 +321,7 @@ def test_certificate_json_schema():
     assert set(payload) == {"kind", "verdict", "window", "delta", "m",
                             "covector", "covector_reference_dual", "speed",
                             "violations"}
-    assert set(payload["m"]) == {"value", "radius", "method", "resolution"}
+    assert set(payload["m"]) == {"value", "radius", "method", "bracket",
+                                 "rate"}
+    m = payload["m"]
+    assert m["value"] == m["bracket"] * math.exp(m["radius"] * m["rate"])

@@ -115,7 +115,7 @@ def test_certify_full_pipeline(tmp_path):
     assert cert["kind"] == "face-stability"
     assert cert["window"] == pytest.approx(1.0, abs=1e-9)
     assert cert["delta"] == pytest.approx(2.0, abs=1e-9)
-    assert cert["m"]["method"] == "analytic-central"
+    assert cert["m"]["method"] == "closed-form"
 
 
 def test_certify_abelianized_variant(tmp_path):
@@ -289,6 +289,12 @@ BAD_VALUES = {
     "nan_step": ("integrate", {"step": math.nan}, []),
     "string_step": ("integrate", {"step": "a"}, []),
     "zero_step_flag": ("integrate", {}, ["--step", "0"]),
+    "t_end_between_steps": ("integrate", {"t_end": 0.1, "step": 0.03}, []),
+    "t_end_between_steps_flag": ("integrate", {}, ["--step", "0.03"]),
+    "t_end_below_one_step": ("integrate", {"step": 0.3}, []),
+    "string_seed": ("integrate", {"seed": "x"}, []),
+    "bool_seed": ("integrate", {"seed": True}, []),
+    "string_abelianized": ("certify", {"abelianized": "no"}, []),
     "negative_t_end": ("integrate", {"t_end": -1.0}, []),
     "nan_t_end": ("integrate", {"t_end": math.nan}, []),
     "infinite_t_end": ("integrate", {"t_end": math.inf}, []),

@@ -191,7 +191,7 @@ def test_window_check_matches_the_union_rule(any_ball, rng):
     # rule applied to the visited faces.
     lattice = face_lattice_bruteforce(any_ball.vertices)
     faces = any_ball.faces()
-    est = MEstimate(1.0, 1.0, "analytic-central")
+    est = MEstimate(radius=1.0, bracket=1.0, rate=0.0)
     verdicts = set()
     for _ in range(60):
         size = int(rng.integers(2, 4))
