@@ -63,7 +63,11 @@ class MEstimate:
 
 @dataclass
 class StabilityCertificate:
-    """Outcome of a windowed face stability check."""
+    """Outcome of a windowed face stability check.
+
+    ``lp_solves`` counts the star-covering LPs behind ``delta``; it is 0
+    when ``delta`` was given rather than computed.
+    """
 
     verdict: bool
     window: float
@@ -74,6 +78,7 @@ class StabilityCertificate:
     speed: float
     violations: list[dict] = dataclass_field(default_factory=list)
     kind: str = "face-stability"
+    lp_solves: int = 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -81,6 +86,7 @@ class StabilityCertificate:
             "verdict": bool(self.verdict),
             "window": float(self.window),
             "delta": float(self.delta),
+            "lp_solves": int(self.lp_solves),
             "m": self.m_estimate.to_json_dict(),
             "covector": [float(x) for x in self.lam],
             "covector_reference_dual": float(self.lam_reference_dual),
@@ -218,13 +224,16 @@ def certify_trajectory(traj: flow.Trajectory,
     explicit ``window`` overrides the derived one.
     """
     ball = convex.as_polyhedron(traj.norm)
-    delta = ball.star_covering().delta
+    covering = ball.star_covering()
     radius = traj.speed * float(traj.times[-1])
     m_est = adjoint_bracket_bound(traj.group, radius, ball, traj.polarization)
     lam_dual = _reference_dual(traj.lam)
     if window is None:
-        window = stability_window(delta, lam_dual, m_est.value)
-    return verify_face_stability(traj, window, m_est, delta, lam_dual)
+        window = stability_window(covering.delta, lam_dual, m_est.value)
+    cert = verify_face_stability(traj, window, m_est, covering.delta,
+                                 lam_dual)
+    cert.lp_solves = covering.lp_solves
+    return cert
 
 
 def finsler_short_bound(delta: float, m_of_radius, l_max: float = 64.0,
@@ -275,13 +284,15 @@ def abelianized_minimality(sub: groups.SubmetryData, traj: flow.Trajectory
         raise ValueError("the differential of the submetry is not "
                          "invertible on the polarization")
     ball = convex.as_polyhedron(traj.norm)
-    delta = ball.star_covering().delta
+    covering = ball.star_covering()
+    delta = covering.delta
     m_est = adjoint_bracket_bound(sub.source, 1.0, ball, traj.polarization)
     lam_dual = _reference_dual(traj.lam)
     alpha = delta if m_est.value == 0.0 else delta / m_est.value
     cert = verify_face_stability(traj, alpha / lam_dual, m_est, delta,
                                  lam_dual)
     cert.kind = "abelianized-minimality"
+    cert.lp_solves = covering.lp_solves
     cert.lam = dpi_v @ traj.lam[list(traj.polarization)]
     return cert
 

@@ -128,12 +128,10 @@ class ScenarioConfig:
             value = getattr(self, key)
             if not check(value):
                 raise ScenarioError(f"{key} must be {wanted}, got {value!r}")
-        # The integrators take round(t_end / step) steps.
-        steps = self.t_end / self.step
-        if not (math.isfinite(steps) and math.isclose(
-                round(steps) * self.step, self.t_end, rel_tol=1e-9)):
-            raise ScenarioError(f"t_end {self.t_end!r} is not a whole "
-                                f"number of steps {self.step!r}")
+        try:
+            flow.whole_steps(self.t_end, self.step)
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
 
     def build_group(self) -> groups.GroupSpec:
         try:

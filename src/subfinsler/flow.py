@@ -24,6 +24,7 @@ not determine the control there.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -167,6 +168,21 @@ def _restrict(lam: np.ndarray, polarization: tuple[int, ...]) -> np.ndarray:
     return np.asarray(lam, dtype=float)[list(polarization)]
 
 
+def whole_steps(t_end: float, step: float) -> int:
+    """The number of grid steps from 0 to ``t_end``.
+
+    Raises ValueError unless ``step`` is positive and ``t_end`` is a
+    whole number of steps to a relative 1e-9, so no integrator silently
+    moves the horizon.
+    """
+    steps = t_end / step if step > 0 else math.nan
+    if not (math.isfinite(steps) and math.isclose(
+            round(steps) * step, t_end, rel_tol=1e-9)):
+        raise ValueError(f"t_end {t_end!r} is not a whole number of "
+                         f"steps {step!r}")
+    return int(round(steps))
+
+
 # ---------------------------------------------------------------------------
 # Smooth integrator
 
@@ -212,7 +228,7 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
         k4 = rhs(g + h * k3, t + h)
         return g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    n_steps = int(round(t_end / step))
+    n_steps = whole_steps(t_end, step)
     times = step * np.arange(n_steps + 1)
     size = spec.matrix_size
     points = np.empty((n_steps + 1, size, size))
@@ -305,7 +321,7 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
         xi = groups.coadjoint_dual_point(spec, lam, g, pol)
         return poly.face_of(xi), xi
 
-    n_steps = int(round(t_end / step))
+    n_steps = whole_steps(t_end, step)
     times = step * np.arange(n_steps + 1)
     size = spec.matrix_size
     points = np.empty((n_steps + 1, size, size))
@@ -406,7 +422,7 @@ def subgroup_trajectory(spec: groups.GroupSpec, norm: convex.Norm,
     lam = np.asarray(lam, dtype=float)
     direction = np.asarray(direction, dtype=float)
     speed = norm.value(direction)
-    n_steps = int(round(t_end / step))
+    n_steps = whole_steps(t_end, step)
     times = step * np.arange(n_steps + 1)
     size = spec.matrix_size
     points = np.empty((n_steps + 1, size, size))

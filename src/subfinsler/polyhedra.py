@@ -247,16 +247,18 @@ class Polyhedron:
         Each functional exposes a facet, and the open facet stars cover
         the whole dual sphere.  The returned Lebesgue bound is the least
         dual-norm distance between disjoint closed faces of the dual
-        ball's boundary complex, computed exactly by linear programming.
+        ball's boundary complex, computed exactly by linear programming
+        over the inclusion-maximal disjoint pairs only: enlarging either
+        face can only shrink the distance.
         """
         facet_faces = [self.face_of(lam) for lam in self.functionals]
-        dual_ball = self.dual()
-        delta = _min_disjoint_face_distance(dual_ball)
+        delta, lp_solves = _min_disjoint_face_distance(self.dual())
         return StarCovering(
             poly=self,
             base_covectors=self.functionals.copy(),
             base_face_ids=tuple(f.fid for f in facet_faces),
             delta=delta,
+            lp_solves=lp_solves,
         )
 
     # -- serialization -----------------------------------------------
@@ -302,19 +304,29 @@ def _polytope_pair_distance(poly: Polyhedron, pts_a: np.ndarray,
     return float(res.fun)
 
 
-def _min_disjoint_face_distance(ball: Polyhedron) -> float:
-    """Least gauge distance between disjoint closed boundary faces."""
+def _min_disjoint_face_distance(ball: Polyhedron) -> tuple[float, int]:
+    """Least gauge distance between disjoint closed boundary faces.
+
+    Returns the distance and the number of LPs solved.  Only the
+    inclusion-maximal disjoint pairs are solved: ``dist(A', B') <=
+    dist(A, B)`` whenever ``A'`` contains ``A`` and ``B'`` contains
+    ``B``, and every disjoint pair lies under a maximal one.  The face
+    lattice is graded, so a disjoint pair is maximal exactly when every
+    cover (immediate superface) of each side meets the other side.
+    """
     faces = ball.faces()
-    best = np.inf
-    for fa, fb in combinations(faces, 2):
-        if fa.vertex_set & fb.vertex_set:
-            continue
-        dist = _polytope_pair_distance(ball, ball.vertices[list(fa.vertex_ids)],
-                                       ball.vertices[list(fb.vertex_ids)])
-        best = min(best, dist)
-    if not np.isfinite(best):
+    sets = [f.vertex_set for f in faces]
+    covers = [[t for g, t in zip(faces, sets) if g.dim == f.dim + 1 and s < t]
+              for f, s in zip(faces, sets)]
+    pairs = [(a, b) for a, b in combinations(range(len(faces)), 2)
+             if not sets[a] & sets[b]
+             and all(c & sets[b] for c in covers[a])
+             and all(c & sets[a] for c in covers[b])]
+    if not pairs:
         raise PolyhedronError("no disjoint face pair found")
-    return best
+    pts = [ball.vertices[list(f.vertex_ids)] for f in faces]
+    best = min(_polytope_pair_distance(ball, pts[a], pts[b]) for a, b in pairs)
+    return best, len(pairs)
 
 
 @dataclass(frozen=True)
@@ -323,12 +335,14 @@ class StarCovering:
 
     ``delta`` is a certified lower bound: two dual-sphere points at dual
     distance below ``delta`` always share at least one covering star.
+    ``lp_solves`` counts the face-distance LPs that computed it.
     """
 
     poly: Polyhedron
     base_covectors: np.ndarray
     base_face_ids: tuple[int, ...]
     delta: float
+    lp_solves: int
 
     def covering_stars(self, xi: np.ndarray) -> list[int]:
         """Indices of base covectors whose open star contains ``xi``.
@@ -345,6 +359,7 @@ class StarCovering:
                                for row in self.base_covectors],
             "base_face_ids": [int(i) for i in self.base_face_ids],
             "delta": float(self.delta),
+            "lp_solves": int(self.lp_solves),
         }
 
 

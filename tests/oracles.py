@@ -8,12 +8,14 @@ explicit matrix conjugation resolved by least squares.  The adjoint
 bracket bound is sampled over group points reached through the curve's
 own ball.  The sum and
 max norm subdifferentials have closed forms, spelled out coordinate by
-coordinate.
+coordinate.  The star-covering bound is one linear program per disjoint
+pair of dual faces, with no pruning, and the maximal disjoint pairs come
+from a scan over all pairs of pairs.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 from scipy.linalg import expm
@@ -117,6 +119,74 @@ def faces_share_a_closed_face(lattice: set[frozenset[int]],
     """
     union = frozenset().union(*vertex_sets)
     return any(union <= face for face in lattice)
+
+
+def _dual_faces(vertices: np.ndarray, functionals: np.ndarray
+                ) -> list[frozenset[int]]:
+    """Proper faces of conv(functionals), as functional-index sets.
+
+    Each primal vertex ``v`` exposes the dual facet of the functionals
+    with ``v . f >= 1``; the faces are all nonempty intersections of
+    those facets.
+    """
+    incidence = vertices @ functionals.T >= 1.0 - 1e-9
+    facets = {frozenset(np.nonzero(row)[0].tolist()) for row in incidence}
+    faces = set(facets)
+    grown = True
+    while grown:
+        meets = {a & b for a in faces for b in facets} - {frozenset()}
+        grown = not meets <= faces
+        faces |= meets
+    return sorted(faces, key=lambda s: (len(s), sorted(s)))
+
+
+def exhaustive_delta(vertices, functionals) -> float:
+    """Least distance between disjoint closed faces of the dual sphere.
+
+    The dual ball is conv(functionals) and its gauge is ``max_k v_k . z``
+    over the primal vertices.  For every disjoint pair of dual faces one
+    LP minimizes that gauge of ``x - y`` over ``x`` and ``y`` in the two
+    faces.
+    """
+    v = np.asarray(vertices, dtype=float)
+    f = np.asarray(functionals, dtype=float)
+    best = np.inf
+    for fa, fb in combinations(_dual_faces(v, f), 2):
+        if fa & fb:
+            continue
+        pa, pb = f[sorted(fa)], f[sorted(fb)]
+        na, nb = len(pa), len(pb)
+        # variables: weights on pa, weights on pb, level t
+        a_ub = np.hstack([v @ pa.T, -(v @ pb.T), -np.ones((len(v), 1))])
+        a_eq = np.zeros((2, na + nb + 1))
+        a_eq[0, :na] = 1.0
+        a_eq[1, na:na + nb] = 1.0
+        cost = np.zeros(na + nb + 1)
+        cost[-1] = 1.0
+        res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(len(v)), A_eq=a_eq,
+                      b_eq=np.ones(2),
+                      bounds=[(0.0, None)] * (na + nb) + [(None, None)],
+                      method="highs")
+        assert res.success, res.message
+        best = min(best, float(res.fun))
+    return best
+
+
+def maximal_disjoint_pairs(lattice: set[frozenset[int]]
+                           ) -> set[frozenset[frozenset[int]]]:
+    """Inclusion-maximal unordered pairs of disjoint faces of ``lattice``.
+
+    A pair is dropped when another disjoint pair contains it side by
+    side, in either orientation.
+    """
+    pairs = [(a, b) for a, b in combinations(lattice, 2) if not a & b]
+
+    def under(small, big) -> bool:
+        (a, b), (c, d) = small, big
+        return (a <= c and b <= d) or (a <= d and b <= c)
+
+    return {frozenset(p) for p in pairs
+            if not any(q != p and under(p, q) for q in pairs)}
 
 
 def adjoint_by_conjugation(basis: np.ndarray, g: np.ndarray,

@@ -318,7 +318,8 @@ def test_certificate_json_schema():
     traj = integrate_polyhedral(heis, MaxNorm(3), [0.25, 0.3, 0.45],
                                 1.0, 1e-2)
     payload = certify_trajectory(traj).to_json_dict()
-    assert set(payload) == {"kind", "verdict", "window", "delta", "m",
+    assert set(payload) == {"kind", "verdict", "window", "delta",
+                            "lp_solves", "m",
                             "covector", "covector_reference_dual", "speed",
                             "violations"}
     assert set(payload["m"]) == {"value", "radius", "method", "bracket",

@@ -250,7 +250,7 @@ def test_detect_branching_rejects_mismatched_grids():
     one = subgroup_trajectory(plane, SumNorm(2), [1.0, 0.0], [1.0, 0.0],
                               1.0, 1e-2)
     two = subgroup_trajectory(plane, SumNorm(2), [1.0, 0.0], [1.0, 0.0],
-                              1.0, 7e-3)
+                              1.0, 8e-3)
     with pytest.raises(FlowError):
         detect_branching(one, two)
 
@@ -329,3 +329,27 @@ def test_subgroup_trajectory_nodes_exact():
     for t, g in zip(traj.times, traj.points):
         ref = group_exp(heis, np.array([t, t, 0.0]))
         assert np.max(np.abs(g - ref)) <= 1e-12
+
+
+WHOLE_STEP_RUNS = {
+    "smooth": lambda t_end, step: integrate_smooth(
+        heisenberg_group(), EuclideanNorm(2), [0.25, 0.3, 0.45], t_end, step,
+        polarization=(0, 1)),
+    "polyhedral": lambda t_end, step: integrate_polyhedral(
+        heisenberg_group(), MaxNorm(3), [0.25, 0.3, 0.45], t_end, step),
+    "subgroup": lambda t_end, step: subgroup_trajectory(
+        heisenberg_group(), MaxNorm(3), [0.0, 0.0, 1.0], [1.0, 1.0, 0.0],
+        t_end, step),
+}
+
+
+@pytest.mark.parametrize("run", WHOLE_STEP_RUNS.values(),
+                         ids=WHOLE_STEP_RUNS.keys())
+def test_integrators_need_a_whole_number_of_steps(run):
+    # round(0.1 / 0.03) steps would end the curve at 0.09.
+    for t_end, step in ((0.1, 0.03), (0.1, 0.3)):
+        with pytest.raises(ValueError, match="whole number of steps"):
+            run(t_end, step)
+    traj = run(0.09, 0.03)
+    assert len(traj.times) == 4
+    assert traj.meta_dict()["t_end"] == pytest.approx(0.09, rel=1e-12)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from subfinsler import (
     PolyhedralNorm,
@@ -9,6 +10,7 @@ from subfinsler import (
     PolyhedronError,
     l1_ball,
     linf_ball,
+    polyhedra,
     regular_polygon_ball,
     translation_group,
     verify_face_stability,
@@ -17,7 +19,12 @@ from subfinsler.certify import MEstimate
 from subfinsler.flow import FaceEvent, Trajectory
 from subfinsler.polyhedra import _polytope_pair_distance
 
-from oracles import face_lattice_bruteforce, faces_share_a_closed_face
+from oracles import (
+    exhaustive_delta,
+    face_lattice_bruteforce,
+    faces_share_a_closed_face,
+    maximal_disjoint_pairs,
+)
 
 BALLS = [
     ("diamond2", l1_ball, 2),
@@ -233,6 +240,104 @@ def test_star_covering_delta_is_linear_invariant(any_ball, rng):
                        any_ball.functionals @ np.linalg.inv(mat))
     assert image.star_covering().delta == pytest.approx(
         any_ball.star_covering().delta, abs=1e-12)
+
+
+# LPs per covering; the full scan over disjoint dual-face pairs solves
+# 16, 16, 48, 193 and 145.
+LP_BALLS = [
+    ("diamond2", lambda: l1_ball(2), 2),
+    ("square", lambda: linf_ball(2), 2),
+    ("hexagon", lambda: regular_polygon_ball(6), 9),
+    ("cross3", lambda: l1_ball(3), 3),
+    ("cube3", lambda: linf_ball(3), 4),
+]
+
+
+def _record_pair_lps(monkeypatch) -> list:
+    """Patch the pair-distance LP to log (dual ball, vertex ids, vertex ids)."""
+    solved = []
+    real = polyhedra._polytope_pair_distance
+
+    def recording(poly, pts_a, pts_b):
+        index = {tuple(row): i for i, row in enumerate(poly.vertices)}
+        solved.append((poly, frozenset(index[tuple(r)] for r in pts_a),
+                       frozenset(index[tuple(r)] for r in pts_b)))
+        return real(poly, pts_a, pts_b)
+
+    monkeypatch.setattr(polyhedra, "_polytope_pair_distance", recording)
+    return solved
+
+
+@pytest.mark.parametrize("make, solves", [(mk, n) for _, mk, n in LP_BALLS],
+                         ids=[name for name, _, _ in LP_BALLS])
+def test_star_covering_lp_counts(monkeypatch, make, solves):
+    solved = _record_pair_lps(monkeypatch)
+    covering = make().star_covering()
+    assert len(solved) == solves
+    assert covering.lp_solves == covering.to_json_dict()["lp_solves"] == solves
+
+
+@pytest.mark.parametrize("make", [mk for _, mk, _ in LP_BALLS],
+                         ids=[name for name, _, _ in LP_BALLS])
+def test_solved_pairs_are_the_maximal_disjoint_pairs(monkeypatch, make):
+    solved = _record_pair_lps(monkeypatch)
+    make().star_covering()
+    dual = solved[0][0]
+    pairs = [frozenset((a, b)) for _, a, b in solved]
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == maximal_disjoint_pairs(
+        face_lattice_bruteforce(dual.vertices))
+
+
+def _check_delta_is_exhaustive(points: np.ndarray) -> None:
+    """delta of conv(points) against the exhaustive LP.  Balls are
+    assumed away unless every vertex lies on a facet plane or clearly
+    off it, so that no incidence tolerance decides the face lattice."""
+    try:
+        ball = Polyhedron.from_vertices(points)
+    except PolyhedronError:
+        assume(False)
+    vals = ball.functionals @ ball.vertices.T
+    assume(np.all((vals >= 1.0 - 1e-12) | (vals <= 1.0 - 1e-6)))
+    assert ball.star_covering().delta == pytest.approx(
+        exhaustive_delta(ball.vertices, ball.functionals), abs=1e-12)
+
+
+@st.composite
+def symmetric_polygons(draw) -> np.ndarray:
+    pairs = draw(st.integers(2, 6))
+    angles = np.array(draw(st.lists(st.floats(0.0, np.pi, exclude_max=True),
+                                    min_size=pairs, max_size=pairs)))
+    radii = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=pairs,
+                                   max_size=pairs)))
+    pts = radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+    return np.vstack([pts, -pts])
+
+
+@st.composite
+def ellipsoid_point_pairs(draw) -> np.ndarray:
+    pairs = draw(st.integers(3, 5))
+    axes = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=3,
+                                  max_size=3)))
+    dirs = np.array(draw(st.lists(
+        st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+        min_size=pairs, max_size=pairs)))
+    lengths = np.linalg.norm(dirs, axis=1)
+    assume(np.all(lengths > 0.1))
+    pts = axes * dirs / lengths[:, None]
+    return np.vstack([pts, -pts])
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(symmetric_polygons())
+def test_delta_matches_exhaustive_lp_on_polygons(points):
+    _check_delta_is_exhaustive(points)
+
+
+@settings(max_examples=4, deadline=None, derandomize=True, database=None)
+@given(ellipsoid_point_pairs())
+def test_delta_matches_exhaustive_lp_on_ellipsoid_pairs(points):
+    _check_delta_is_exhaustive(points)
 
 
 def test_pair_distance_lp_frozen():
