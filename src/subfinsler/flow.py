@@ -14,11 +14,16 @@ norm needs.  :func:`integrate_smooth` handles norms with single-valued
 dual gradients by a fourth-order Runge-Kutta step on the chart matrix,
 recording crossings between smooth regimes of the dual energy.
 :func:`integrate_polyhedral` handles polytope balls by exact subgroup
-arcs: between face events the maximizing control is constant, so each
-step is one closed-form exponential, and event times are localized by
-bisection.  Where the exposed face is set-valued a selection rule
-picks the control; several rules are provided because normal data does
-not determine the control there.
+arcs: between face events the maximizing control is constant, so the
+grid nodes of an arc are one stacked closed-form evaluation, and each
+face switch is the root of a gap between vertex supports, solved to
+rounding.  The face after a switch is read off the dual point's
+velocity, so an instant pass through a lower face is one event.  Faces
+are compared only at grid nodes: a visit that starts and ends within
+one step is not seen (on the Heisenberg group none can be, since the
+dual point moves in straight lines there).  Where the exposed face is
+set-valued a selection rule picks the control; several rules are
+provided because normal data does not determine the control there.
 """
 
 from __future__ import annotations
@@ -28,12 +33,18 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import convex, groups
 from .polyhedra import Polyhedron
 
-# Fraction of the grid step used as the event localization width.
+# Fraction of the grid step used as the width of the smooth integrator's
+# regime-crossing bisection.
 EVENT_WIDTH_FACTOR = 1e-3
+# Face switches of polyhedral arcs are root-solved to rounding: the
+# least relative tolerance brentq accepts, and no absolute floor.
+_ROOT_RTOL = 4.0 * np.finfo(float).eps
+_ROOT_XTOL = np.finfo(float).tiny
 # Dual points with dual norm at or below this are treated as degenerate.
 DEGENERATE_DUAL_TOL = 1e-13
 # Default coincidence / divergence thresholds for branching detection.
@@ -146,8 +157,9 @@ class BranchReport:
 
 def _embed(u_v: np.ndarray, dim: int, polarization: tuple[int, ...]
            ) -> np.ndarray:
-    full = np.zeros(dim)
-    full[list(polarization)] = u_v
+    u_v = np.asarray(u_v, dtype=float)
+    full = np.zeros(u_v.shape[:-1] + (dim,))
+    full[..., list(polarization)] = u_v
     return full
 
 
@@ -157,7 +169,7 @@ def dual_derivative(spec: groups.GroupSpec, lam: np.ndarray, g: np.ndarray,
                     ) -> np.ndarray:
     """Time derivative of the dual point: lam o Ad_g o ad_u, restricted."""
     pol = spec.polarization if polarization is None else tuple(polarization)
-    u_full = _embed(np.asarray(u_v, dtype=float), spec.dim, pol)
+    u_full = _embed(u_v, spec.dim, pol)
     adj = groups.adjoint_matrix(spec, g)
     ad_u = groups.ad_matrix(spec, u_full)
     full = ad_u.T @ (adj.T @ np.asarray(lam, dtype=float))
@@ -298,11 +310,33 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
                          max_switches: int = 1000) -> Trajectory:
     """Integrate the normal flow of a polytope velocity ball.
 
-    Between face events the control is constant, so the curve is a
-    product of closed-form subgroup arcs and the only numerical error
-    is the event localization width.  Events are detected by watching
-    the exposed face of the dual point and bisected to
-    ``EVENT_WIDTH_FACTOR * step``.
+    Between face events the control ``u`` is constant, so the curve is
+    a chain of closed-form subgroup arcs ``g_seg exp(s U)``.  The grid
+    nodes of an arc are evaluated in stacks, in windows that start at
+    the previous arc's node count and double.  The face ``F`` holds
+    while the outsider gap
+
+        h(s) = max_{j not in F} v_j . xi(s) - max_{j in F} v_j . xi(s)
+
+    stays below zero; the first node where ``h`` turns positive after a
+    negative sample brackets the switch, which ``brentq`` solves to
+    rounding.  The face after a switch is the subface of the touching
+    face that the dual point's velocity (:func:`dual_derivative`, under
+    the current control) exposes, reselecting the control until face
+    and control agree; so an instant pass through a lower face (vertex,
+    edge, vertex) is one event, and event times increase strictly.  A
+    start face that splits at once gives an event at t = 0.
+
+    ``start_control``, if given, must maximize at t = 0; under the
+    persistent rule it is kept while the whole start face survives.  If
+    the start face splits at once, the control is reselected on the
+    face entered there, and ``controls[0]`` holds that control, the one
+    the curve leaves with; the event at t = 0 records the switch.
+
+    Faces are still compared only at grid nodes: a visit that starts
+    and ends within one step, or a tangential touch, is not seen.  On
+    the Heisenberg group the dual point moves in a straight line along
+    each arc, so every gap is linear in ``s`` and no visit can hide.
     """
     if rule not in SELECTION_RULES:
         raise FlowError(f"unknown selection rule {rule!r}")
@@ -313,13 +347,34 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
     if speed <= DEGENERATE_DUAL_TOL:
         raise IntegrationError("covector vanishes on the polarization", 0.0)
 
-    def advance(g: np.ndarray, u_v: np.ndarray, dt: float) -> np.ndarray:
-        return g @ groups.exp(spec, dt * _embed(u_v, spec.dim, pol))
+    def arc(g: np.ndarray, u_v: np.ndarray, s) -> tuple[np.ndarray,
+                                                         np.ndarray]:
+        """Chart and dual points at offsets ``s`` along the arc from ``g``."""
+        coords = np.multiply.outer(s, _embed(u_v, spec.dim, pol))
+        pts = g @ groups.exp(spec, coords)
+        return pts, groups.coadjoint_dual_point(spec, lam, pts, pol)
 
-    def face_at(g: np.ndarray):
-        """The exposed face at ``g`` and the dual point that exposes it."""
-        xi = groups.coadjoint_dual_point(spec, lam, g, pol)
-        return poly.face_of(xi), xi
+    def face_after(touch, t: float, g: np.ndarray, u: np.ndarray,
+                   support: frozenset[int], chosen):
+        """The face the dual point enters from ``touch``, with its control.
+
+        ``chosen`` is the face the control ``u`` was selected on.  A
+        face whose control the rule does not keep gets a new control,
+        and the velocity is taken again under it.
+        """
+        tried: set[int] = set()
+        while True:
+            face = poly.subface(touch,
+                                dual_derivative(spec, lam, g, u, pol))
+            if face.fid == chosen.fid or (rule == "persistent"
+                                          and support <= face.vertex_set):
+                return face, u, support
+            if face.fid in tried:
+                raise IntegrationError("no face after the event keeps its "
+                                       "own control", t)
+            tried.add(face.fid)
+            u, support = _select_control(poly, face, speed, rule)
+            chosen = face
 
     n_steps = whole_steps(t_end, step)
     times = step * np.arange(n_steps + 1)
@@ -330,7 +385,8 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
     face_ids = np.empty(n_steps + 1, dtype=int)
 
     g = spec.identity()
-    face, xi = face_at(g)
+    xi = groups.coadjoint_dual_point(spec, lam, g, pol)
+    touch = poly.face_of(xi)
     if start_control is not None:
         u = np.asarray(start_control, dtype=float)
         slack = 1e-9 * max(1.0, speed * speed)
@@ -339,51 +395,78 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
             raise FlowError("start control is not a maximizer at t=0")
         # Conservative support: admissible only while the whole start
         # face survives.
-        support = face.vertex_set
+        support = touch.vertex_set
     else:
-        u, support = _select_control(poly, face, speed, rule)
+        u, support = _select_control(poly, touch, speed, rule)
+    face, u, support = face_after(touch, 0.0, g, u, support, touch)
+    events: list[FaceEvent] = []
+    if face.fid != touch.fid:
+        events.append(FaceEvent(0.0, touch.fid, face.fid))
 
     points[0] = g
     controls[0] = u
     duals[0] = xi
-    face_ids[0] = face.fid
-    events: list[FaceEvent] = []
-    width = EVENT_WIDTH_FACTOR * step
+    face_ids[0] = touch.fid
 
-    for i in range(n_steps):
-        t = times[i]
-        remaining = step
-        while remaining > 0.0:
-            trial = advance(g, u, remaining)
-            new_face, trial_xi = face_at(trial)
-            if new_face.fid == face.fid:
-                g, xi = trial, trial_xi
-                t += remaining
-                remaining = 0.0
-                break
-            lo, hi = 0.0, remaining
-            while hi - lo > width:
-                mid = 0.5 * (lo + hi)
-                probe, _ = face_at(advance(g, u, mid))
-                if probe.fid != face.fid:
-                    hi = mid
-                else:
-                    lo = mid
-            g = advance(g, u, hi)
-            t += hi
-            remaining -= hi
-            new_face, xi = face_at(g)
-            events.append(FaceEvent(t, face.fid, new_face.fid))
-            if len(events) > max_switches:
-                raise FaceThrashError(events)
+    t_seg, k, span = 0.0, 1, 1
+    while k <= n_steps:
+        members = np.zeros(len(poly.vertices), dtype=bool)
+        members[list(face.vertex_ids)] = True
+
+        def gap(xis: np.ndarray) -> np.ndarray:
+            vals = xis @ poly.vertices.T
+            return (np.max(vals[..., ~members], axis=-1)
+                    - np.max(vals[..., members], axis=-1))
+
+        # The last sample below the tie; a gap that starts at or above
+        # zero (a tie left behind by the previous event) is not a switch
+        # until it has been negative.
+        h0 = float(gap(xi))
+        lo = (0.0, h0) if h0 < 0.0 else None
+        first = k
+        while k <= n_steps:
+            stop = min(k + span, n_steps + 1)
+            s = times[k:stop] - t_seg
+            pts, xis = arc(g, u, s)
+            h = gap(xis)
+            neg = h < 0.0
+            hits = np.nonzero((h > 0.0) & (np.logical_or.accumulate(neg)
+                                           | (lo is not None)))[0]
+            keep = int(hits[0]) if len(hits) else len(s)
+            below = np.nonzero(neg[:keep])[0]
+            if len(below):
+                lo = (float(s[below[-1]]), float(h[below[-1]]))
+            if len(hits):
+                hi = (float(s[keep]), float(h[keep]))
+
+                def gap_at(s_probe: float) -> float:
+                    # The bracket ends keep the values the scan saw.
+                    for end_s, end_h in (lo, hi):
+                        if s_probe == end_s:
+                            return end_h
+                    return float(gap(arc(g, u, s_probe)[1]))
+
+                root = brentq(gap_at, lo[0], hi[0], xtol=_ROOT_XTOL,
+                              rtol=_ROOT_RTOL)
+                keep = int(np.searchsorted(s, root, side="right"))
+            points[k:k + keep], duals[k:k + keep] = pts[:keep], xis[:keep]
+            controls[k:k + keep], face_ids[k:k + keep] = u, face.fid
+            k += keep
+            if not len(hits):
+                span *= 2
+                continue
+            g, xi = arc(g, u, root)
+            t_seg += root
+            touch = poly.face_of(xi)
+            new_face, u, support = face_after(touch, t_seg, g, u, support,
+                                              face)
+            if new_face.fid != face.fid:
+                events.append(FaceEvent(t_seg, face.fid, new_face.fid))
+                if len(events) > max_switches:
+                    raise FaceThrashError(events)
             face = new_face
-            if not (rule == "persistent" and support <= face.vertex_set):
-                u, support = _select_control(poly, face, speed, rule)
-        points[i + 1] = g
-        controls[i + 1] = u
-        # The last probe of the step was at the node itself.
-        duals[i + 1] = xi
-        face_ids[i + 1] = face.fid
+            span = max(k - first, 1)
+            break
 
     return Trajectory(group=spec, norm=norm, polarization=pol, lam=lam,
                       times=times, points=points, controls=controls,
@@ -426,13 +509,11 @@ def subgroup_trajectory(spec: groups.GroupSpec, norm: convex.Norm,
     times = step * np.arange(n_steps + 1)
     size = spec.matrix_size
     points = np.empty((n_steps + 1, size, size))
-    duals = np.empty((n_steps + 1, len(pol)))
     hop = groups.exp(spec, step * _embed(direction, spec.dim, pol))
     points[0] = spec.identity()
     for i in range(n_steps):
         points[i + 1] = points[i] @ hop
-    for i in range(n_steps + 1):
-        duals[i] = groups.coadjoint_dual_point(spec, lam, points[i], pol)
+    duals = groups.coadjoint_dual_point(spec, lam, points, pol)
     return Trajectory(group=spec, norm=norm, polarization=pol, lam=lam,
                       times=times, points=points,
                       controls=np.tile(direction, (n_steps + 1, 1)),
@@ -513,13 +594,12 @@ def lift_curve(sub: groups.SubmetryData, traj: Trajectory,
     controls = np.empty((n, len(pol)))
     for i in range(n):
         controls[i] = groups.min_norm_preimage(sub, norm, traj.controls[i])
+    hops = groups.exp(spec, np.diff(traj.times)[:, None]
+                      * _embed(controls[:-1], spec.dim, pol))
     points[0] = spec.identity()
     for i in range(n - 1):
-        dt = traj.times[i + 1] - traj.times[i]
-        points[i + 1] = points[i] @ groups.exp(
-            spec, dt * _embed(controls[i], spec.dim, pol))
-    duals = np.array([groups.coadjoint_dual_point(spec, lam, g, pol)
-                      for g in points])
+        points[i + 1] = points[i] @ hops[i]
+    duals = groups.coadjoint_dual_point(spec, lam, points, pol)
     if norm.convexity_class == "polyhedral":
         poly = convex.as_polyhedron(norm)
         face_ids = np.array([poly.face_of(xi).fid for xi in duals])

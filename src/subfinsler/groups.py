@@ -10,7 +10,9 @@ to the dense scaling-and-squaring exponential otherwise.
 The adjoint action is conjugation in the chart, pulled back to algebra
 coordinates; :func:`coadjoint_dual_point` composes a covector with it
 and restricts to the polarization, which is the quantity transported
-along normal curves.
+along normal curves.  :func:`exp`, :func:`adjoint_matrix` and
+:func:`coadjoint_dual_point` accept a leading stack axis, so a whole
+arc of grid nodes is one call.
 
 :class:`SubmetryData` describes a surjective homomorphism onto a lower
 dimensional group whose differential maps the velocity ball onto the
@@ -58,6 +60,8 @@ class GroupSpec:
         exp_closed: Optional exact exponential, coords -> chart matrix.
         ad_pullback: Optional closed form for the adjoint matrix of a
             chart element (columns are images of the basis in coords).
+            Both closed forms map a stack (..., dim) or (..., N, N) to
+            the matching stack of results.
         variety: Optional residual function; near zero on the group.
     """
 
@@ -97,8 +101,9 @@ class GroupSpec:
 
 
 def to_matrix(spec: GroupSpec, coords: np.ndarray) -> np.ndarray:
-    """Algebra coordinates to a matrix in the chart."""
-    return np.einsum("i,iab->ab", np.asarray(coords, dtype=float), spec.basis)
+    """Algebra coordinates to a matrix in the chart, shape (..., dim)."""
+    return np.einsum("...i,iab->...ab", np.asarray(coords, dtype=float),
+                     spec.basis)
 
 
 def from_matrix(spec: GroupSpec, mat: np.ndarray) -> np.ndarray:
@@ -126,7 +131,7 @@ def ad_matrix(spec: GroupSpec, x: np.ndarray) -> np.ndarray:
 
 
 def exp(spec: GroupSpec, coords: np.ndarray) -> GroupElement:
-    """Group exponential of algebra coordinates."""
+    """Group exponential of algebra coordinates, shape (..., dim)."""
     coords = np.asarray(coords, dtype=float)
     if spec.exp_closed is not None:
         return spec.exp_closed(coords)
@@ -134,20 +139,23 @@ def exp(spec: GroupSpec, coords: np.ndarray) -> GroupElement:
 
 
 def adjoint_matrix(spec: GroupSpec, g: GroupElement) -> np.ndarray:
-    """Coordinate matrix of Ad_g, i.e. conjugation by the chart element."""
+    """Coordinate matrix of Ad_g, i.e. conjugation by the chart element.
+
+    ``g`` may carry a leading stack axis, (..., N, N) -> (..., dim, dim).
+    """
     g = np.asarray(g, dtype=float)
     if spec.ad_pullback is not None:
         return spec.ad_pullback(g)
-    ginv = np.linalg.inv(g)
-    conj = np.einsum("ab,ibc,cd->iad", g, spec.basis, ginv)
-    flat = conj.reshape(spec.dim, -1)
+    conj = np.einsum("...ab,ibc,...cd->...iad", g, spec.basis,
+                     np.linalg.inv(g))
+    flat = conj.reshape(*g.shape[:-2], spec.dim, -1)
     coords = flat @ spec._flat_pinv.T
     recon = coords @ spec.basis.reshape(spec.dim, -1)
     residual = float(np.max(np.abs(recon - flat)))
     if residual > CLOSURE_TOL * (1.0 + float(np.max(np.abs(flat)))):
         raise GroupChartError(
             f"adjoint image lies {residual:.3e} outside the algebra span")
-    return coords.T
+    return coords.swapaxes(-1, -2)
 
 
 def coadjoint_dual_point(spec: GroupSpec, lam: np.ndarray, g: GroupElement,
@@ -155,11 +163,12 @@ def coadjoint_dual_point(spec: GroupSpec, lam: np.ndarray, g: GroupElement,
                          ) -> np.ndarray:
     """The covector lam composed with Ad_g, restricted to the polarization.
 
-    This is the dual point carried by a normal curve through ``g``.
+    This is the dual point carried by a normal curve through ``g``; a
+    stack of chart elements (..., N, N) gives a stack of dual points.
     """
     pol = spec.polarization if polarization is None else tuple(polarization)
-    full = adjoint_matrix(spec, g).T @ np.asarray(lam, dtype=float)
-    return full[list(pol)]
+    full = np.asarray(lam, dtype=float) @ adjoint_matrix(spec, g)
+    return full.take(pol, axis=-1)
 
 
 def variety_residual(spec: GroupSpec, g: GroupElement) -> float:
@@ -226,13 +235,18 @@ def translation_group(dim: int) -> GroupSpec:
     for i in range(n):
         basis[i, i, n] = 1.0
 
+    eye = np.eye(n + 1)
+
     def exp_closed(coords: np.ndarray) -> np.ndarray:
-        g = np.eye(n + 1)
-        g[:n, n] = coords
+        g = np.empty(coords.shape[:-1] + (n + 1, n + 1))
+        g[...] = eye
+        g[..., :n, n] = coords
         return g
 
     def ad_pullback(g: np.ndarray) -> np.ndarray:
-        return np.eye(n)
+        adj = np.empty(g.shape[:-2] + (n, n))
+        adj[...] = eye[:n, :n]
+        return adj
 
     def variety(g: np.ndarray) -> float:
         expected = np.eye(n + 1)
@@ -255,16 +269,22 @@ def heisenberg_group() -> GroupSpec:
     basis[1, 1, 2] = 1.0
     basis[2, 0, 2] = 1.0
 
+    eye = np.eye(3)
+
     def exp_closed(coords: np.ndarray) -> np.ndarray:
-        m = np.zeros((3, 3))
-        m[0, 1], m[1, 2], m[0, 2] = coords[0], coords[1], coords[2]
-        return np.eye(3) + m + 0.5 * (m @ m)
+        x1, x2, x3 = coords[..., 0], coords[..., 1], coords[..., 2]
+        g = np.empty(coords.shape[:-1] + (3, 3))
+        g[...] = eye
+        g[..., 0, 1], g[..., 1, 2] = x1, x2
+        g[..., 0, 2] = x3 + 0.5 * (x1 * x2)
+        return g
 
     def ad_pullback(g: np.ndarray) -> np.ndarray:
-        x1, x2 = g[0, 1], g[1, 2]
-        return np.array([[1.0, 0.0, 0.0],
-                         [0.0, 1.0, 0.0],
-                         [-x2, x1, 1.0]])
+        adj = np.empty(g.shape[:-2] + (3, 3))
+        adj[...] = eye
+        adj[..., 2, 0] = -g[..., 1, 2]
+        adj[..., 2, 1] = g[..., 0, 1]
+        return adj
 
     def variety(g: np.ndarray) -> float:
         expected = np.eye(3)
@@ -287,13 +307,20 @@ def affine_line_group() -> GroupSpec:
     basis[1, 0, 0] = 1.0
 
     def exp_closed(coords: np.ndarray) -> np.ndarray:
-        a, b = float(coords[0]), float(coords[1])
-        scale = math.expm1(b) / b if b != 0.0 else 1.0
-        return np.array([[math.exp(b), a * scale], [0.0, 1.0]])
+        a, b = coords[..., 0], coords[..., 1]
+        nonzero = b != 0.0
+        scale = np.ones_like(b)
+        np.divide(np.expm1(b), b, out=scale, where=nonzero)
+        g = np.zeros(coords.shape[:-1] + (2, 2))
+        g[..., 0, 0], g[..., 0, 1], g[..., 1, 1] = np.exp(b), a * scale, 1.0
+        return g
 
     def ad_pullback(g: np.ndarray) -> np.ndarray:
-        t, x = g[0, 0], g[0, 1]
-        return np.array([[t, -x], [0.0, 1.0]])
+        adj = np.zeros(g.shape[:-2] + (2, 2))
+        adj[..., 0, 0] = g[..., 0, 0]
+        adj[..., 0, 1] = -g[..., 0, 1]
+        adj[..., 1, 1] = 1.0
+        return adj
 
     def variety(g: np.ndarray) -> float:
         res = math.hypot(g[1, 0], g[1, 1] - 1.0)
@@ -318,14 +345,11 @@ def rotation_group() -> GroupSpec:
     basis[2, 1, 2], basis[2, 2, 1] = 1.0, -1.0
 
     def exp_closed(coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=float)
-        theta = float(np.linalg.norm(coords))
-        m = np.einsum("i,iab->ab", coords, basis)
-        if theta == 0.0:
-            return np.eye(3)
-        half = 0.5 * theta
+        theta = np.linalg.norm(coords, axis=-1)[..., None, None]
+        m = np.einsum("...i,iab->...ab", coords, basis)
+        # np.sinc(0) is 1, so theta = 0 gives the identity.
         sinc = np.sinc(theta / np.pi)
-        versine = 0.5 * np.sinc(half / np.pi) ** 2
+        versine = 0.5 * np.sinc(0.5 * theta / np.pi) ** 2
         return np.eye(3) + sinc * m + versine * (m @ m)
 
     # Coordinates map to rotation axes through the involution T below

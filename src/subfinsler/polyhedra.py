@@ -213,22 +213,38 @@ class Polyhedron:
         that is not itself a face, the smallest face containing it is
         returned.
         """
-        eta = np.asarray(eta, dtype=float)
-        vals = self.vertices @ eta
+        vals = self.vertices @ np.asarray(eta, dtype=float)
         top = float(np.max(vals))
         if top <= 0.0:
             raise PolyhedronError("covector must be nonzero")
-        active = frozenset(np.nonzero(vals >= top * (1.0 - FACE_REL_TOL))[0])
+        return self._face_containing(vals >= top * (1.0 - FACE_REL_TOL))
+
+    def subface(self, face: Face, eta: np.ndarray) -> Face:
+        """The face of ``face`` on which the covector ``eta`` is largest.
+
+        Ties are decided relative to the largest ``|eta . v|`` over the
+        face's vertices, so ``eta = 0`` returns ``face`` itself.
+        """
+        ids = np.array(face.vertex_ids)
+        vals = self.vertices[ids] @ np.asarray(eta, dtype=float)
+        scale = float(np.max(np.abs(vals)))
+        keep = vals >= np.max(vals) - FACE_REL_TOL * scale
+        active = np.zeros(len(self.vertices), dtype=bool)
+        active[ids[keep]] = True
+        return self._face_containing(active)
+
+    def _face_containing(self, active: np.ndarray) -> Face:
+        """The smallest face whose vertices include the ``active`` mask."""
         if self._face_by_set is None:
             self._build_faces()
+        active = frozenset(np.nonzero(active)[0])
         face = self._face_by_set.get(active)
         if face is not None:
             return face
         hit = [fs for fs in self._facet_sets if active <= fs]
         if not hit:
             raise PolyhedronError("active set lies on no facet")
-        snapped = frozenset.intersection(*hit)
-        return self._face_by_set[snapped]
+        return self._face_by_set[frozenset.intersection(*hit)]
 
     def star_contains(self, eta: np.ndarray, xi: np.ndarray) -> bool:
         """Whether ``xi`` lies in the open star of ``eta`` on the dual sphere.

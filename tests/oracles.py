@@ -10,11 +10,14 @@ own ball.  The sum and
 max norm subdifferentials have closed forms, spelled out coordinate by
 coordinate.  The star-covering bound is one linear program per disjoint
 pair of dual faces, with no pruning, and the maximal disjoint pairs come
-from a scan over all pairs of pairs.
+from a scan over all pairs of pairs.  Heisenberg face switches on a
+polygon ball come from the isoperimetrix closed form, and dual points
+from explicit conjugation.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, product
 
 import numpy as np
@@ -304,3 +307,51 @@ def active_coordinate_vertices(x: np.ndarray) -> set[tuple[float, ...]]:
             vertex[i] = top * float(np.sign(xi))
             out.add(tuple(vertex))
     return out
+
+
+def dual_point_by_conjugation(basis: np.ndarray, lam: np.ndarray,
+                              g: np.ndarray, polarization) -> np.ndarray:
+    """lam o Ad_g on the polarization, with Ad_g by explicit conjugation."""
+    lam = np.asarray(lam, dtype=float)
+    eye = np.eye(len(basis))
+    return np.array([lam @ adjoint_by_conjugation(basis, g, eye[j])
+                     for j in polarization])
+
+
+def isoperimetrix_switches(vertices, covector, t_end: float
+                           ) -> list[tuple[float, int, int]]:
+    """Exact switch times ``(t, from_vertex, to_vertex)`` up to ``t_end``.
+
+    Heisenberg group, polarization (0, 1), polygon ball with the given
+    vertices.  For the covector ``(l1, l2, l3)`` the dual point is
+    ``xi = (l1 - l3 x2, l2 + l3 x1)`` and the control is ``r v_k`` for
+    the vertex ``v_k`` maximizing ``xi``, where ``r`` is the conserved
+    dual norm.  So ``xi' = l3 r J v_k`` with ``J`` the quarter turn:
+    ``xi`` slides along the dual-sphere facet of ``v_k`` in a straight
+    line until another vertex reaches the same support value ``r``, which
+    gives each switch time in closed form (Busemann 1947).
+    """
+    v = np.asarray(vertices, dtype=float)
+    l1, l2, l3 = (float(x) for x in covector)
+    xi = np.array([l1, l2])
+    support = v @ xi
+    k = int(np.argmax(support))
+    r = float(support[k])
+    if l3 == 0.0 or r <= 0.0:
+        return []
+    t = 0.0
+    out: list[tuple[float, int, int]] = []
+    while True:
+        velocity = l3 * r * np.array([-v[k, 1], v[k, 0]])
+        rate = v @ velocity
+        gap = np.maximum(r - v @ xi, 0.0)
+        wait, nxt = math.inf, -1
+        for j in range(len(v)):
+            if j != k and rate[j] > 0.0 and gap[j] / rate[j] < wait:
+                wait, nxt = gap[j] / rate[j], j
+        if nxt < 0 or t + wait > t_end:
+            return out
+        t += wait
+        xi = xi + wait * velocity
+        out.append((t, k, nxt))
+        k = nxt

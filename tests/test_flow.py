@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy.linalg import expm
 
 from subfinsler import (
     AxisCornerNorm,
@@ -13,6 +15,7 @@ from subfinsler import (
     FlowError,
     IntegrationError,
     MaxNorm,
+    PolyhedralNorm,
     RootSumNorm,
     SELECTION_RULES,
     SumNorm,
@@ -32,7 +35,11 @@ from subfinsler import (
     translation_group,
     write_trajectory_csv,
 )
+from subfinsler import flow, groups
 from subfinsler.groups import exp as group_exp
+from subfinsler.polyhedra import Polyhedron, linf_ball, regular_polygon_ball
+
+from oracles import dual_point_by_conjugation, isoperimetrix_switches
 
 
 # -- smooth integrator -----------------------------------------------------
@@ -122,9 +129,9 @@ def test_generic_heisenberg_invariants():
     for i in (0, 50, 150, 300):
         xi = coadjoint_dual_point(heis, lam, traj.points[i])
         assert np.allclose(xi, traj.duals[i], atol=1e-12)
-    # The control maximizes the dual point away from the event widths.
+    # The control maximizes the dual point at every node.
     pairing = np.einsum("ij,ij->i", traj.duals, traj.controls)
-    assert np.max(np.abs(pairing - traj.speed ** 2)) <= 1e-3
+    assert np.max(np.abs(pairing - traj.speed ** 2)) <= 1e-12
     assert all(0.0 < e.t < 3.0 for e in traj.events)
     assert all(traj.events[i].t < traj.events[i + 1].t
                for i in range(len(traj.events) - 1))
@@ -136,7 +143,7 @@ def test_first_event_time_frozen():
     heis = heisenberg_group()
     traj = integrate_polyhedral(heis, MaxNorm(3), [0.3, 0.5, 0.8], 1.0, 1e-2)
     assert traj.events
-    assert traj.events[0].t == pytest.approx(0.3 / 1.28, abs=1e-4)
+    assert traj.events[0].t == pytest.approx(0.3 / 1.28, abs=1e-12)
 
 
 def test_selection_rules_deterministic_and_valid():
@@ -177,6 +184,225 @@ def test_face_thrash_guard():
         integrate_polyhedral(heis, MaxNorm(3), [0.3, 0.5, 0.8], 1.0, 1e-2,
                              max_switches=0)
     assert len(info.value.events) == 1
+
+
+# -- exact face events ---------------------------------------------------------
+
+
+def _random_polygon(rng: np.random.Generator, pairs: int) -> Polyhedron:
+    """A symmetric polygon with vertices on a random ellipse."""
+    spacing = math.pi / pairs
+    theta = (rng.uniform(0.0, 2.0 * math.pi)
+             + spacing * (np.arange(pairs) + rng.uniform(-0.3, 0.3, pairs)))
+    half = np.column_stack([np.cos(theta),
+                            rng.uniform(0.5, 1.0) * np.sin(theta)])
+    return Polyhedron.from_vertices(np.vstack([half, -half]))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), pairs=st.integers(2, 6),
+       lam3=st.floats(0.5, 4.0), flip=st.booleans())
+def test_polygon_events_match_the_isoperimetrix(seed, pairs, lam3, flip):
+    rng = np.random.default_rng(seed)
+    poly = _random_polygon(rng, pairs)
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    lam = [math.cos(angle), math.sin(angle), -lam3 if flip else lam3]
+    t_end = 3.0
+    exact = isoperimetrix_switches(poly.vertices, lam, t_end + 1e-6)
+    # Generic data only: one vertex exposed at t = 0, no switch within
+    # rounding of the horizon.
+    support = np.sort(poly.vertices @ lam[:2])
+    assume(support[-1] - support[-2] > 1e-6)
+    assume(all(abs(t - t_end) > 1e-9 for t, _, _ in exact))
+    exact = [e for e in exact if e[0] < t_end]
+    traj = integrate_polyhedral(heisenberg_group(), PolyhedralNorm(poly),
+                                lam, t_end, 1e-2, polarization=(0, 1))
+    # Vertex faces come first, with the vertex index as id, so every
+    # event is one vertex-to-vertex switch.
+    got = [(e.t, e.from_face, e.to_face) for e in traj.events]
+    assert len(got) == len(exact)
+    for (t, a, b), (t_ref, a_ref, b_ref) in zip(got, exact):
+        assert (a, b) == (a_ref, b_ref)
+        assert abs(t - t_ref) <= 1e-12
+
+
+def test_carnot_square_logs_one_event_per_switch():
+    # The bundled heisenberg_carnot curve: each axis crossing of the
+    # dual point is an instant pass through an edge of the square.
+    traj = integrate_polyhedral(heisenberg_group(), MaxNorm(2),
+                                [0.3, 0.5, 0.8], 3.0, 1e-2,
+                                polarization=(0, 1))
+    poly = MaxNorm(2).poly
+    assert [e.t for e in traj.events] == pytest.approx(
+        [0.46875, 1.71875, 2.96875], abs=1e-12)
+    assert all(poly.faces()[e.from_face].dim == 0
+               and poly.faces()[e.to_face].dim == 0 for e in traj.events)
+    exact = isoperimetrix_switches(poly.vertices, [0.3, 0.5, 0.8], 3.0)
+    assert [(e.from_face, e.to_face) for e in traj.events] == [
+        (a, b) for _, a, b in exact]
+
+
+# Event times of the bisecting integrator this one replaced, which
+# located each switch to EVENT_WIDTH_FACTOR * step = 1e-5.  Affine and
+# rotation arcs have exponential and trigonometric gaps.
+BISECTED_EVENTS = {
+    "affine_hexagon": (affine_line_group, regular_polygon_ball(6, 0.1),
+                       [0.4, 0.7], 3.0,
+                       [(0.863359375, 3, 5), (2.31099609375, 5, 4)]),
+    "affine_hexagon_back": (affine_line_group, regular_polygon_ball(6, 0.1),
+                            [-0.6, 0.3], 3.0,
+                            [(0.085263671875, 1, 0), (2.0414453125, 0, 2)]),
+    "rotation_skew_cube": (rotation_group, Polyhedron.from_vertices(
+        linf_ball(3).vertices @ np.array([[1.0, 0.2, 0.0], [0.0, 1.0, 0.3],
+                                          [0.1, 0.0, 1.0]]).T),
+                           [0.8, -0.5, 0.3], 1.0,
+                           [(0.39229492187500004, 5, 7),
+                            (0.697861328125, 7, 6)]),
+}
+
+
+@pytest.mark.parametrize("name", BISECTED_EVENTS)
+def test_nonlinear_gap_events_are_exact_ties(name):
+    make, poly, lam, t_end, bisected = BISECTED_EVENTS[name]
+    spec = make()
+    traj = integrate_polyhedral(spec, PolyhedralNorm(poly), lam, t_end,
+                                1e-2)
+    assert [(e.from_face, e.to_face) for e in traj.events] == [
+        (a, b) for _, a, b in bisected]
+    for e, (t_old, _, _) in zip(traj.events, bisected):
+        assert abs(e.t - t_old) <= flow.EVENT_WIDTH_FACTOR * 1e-2
+        # The left and the entered vertex support the dual point equally
+        # at the event: the chart point is rebuilt from the next node by
+        # scipy's expm, the dual point by explicit conjugation.
+        k = int(np.searchsorted(traj.times, e.t, side="right"))
+        u = np.einsum("i,iab->ab", traj.controls[k], spec.basis)
+        g = traj.points[k] @ expm(-(traj.times[k] - e.t) * u)
+        xi = dual_point_by_conjugation(spec.basis, lam, g,
+                                       spec.polarization)
+        for fid in (e.from_face, e.to_face):
+            vertex = poly.vertices[poly.faces()[fid].vertex_ids[0]]
+            assert vertex @ xi == pytest.approx(traj.speed, abs=1e-12)
+
+
+def test_vanishing_center_covector_needs_no_root_solve(monkeypatch):
+    # lam3 = 0: the dual point is constant, so the face never changes.
+    def no_root(*args, **kwargs):
+        raise AssertionError("brentq called")
+
+    monkeypatch.setattr(flow, "brentq", no_root)
+    traj = integrate_polyhedral(heisenberg_group(), MaxNorm(2),
+                                [0.3, -0.5, 0.0], 3.0, 1e-2,
+                                polarization=(0, 1))
+    assert traj.events == []
+    assert np.array_equal(traj.controls,
+                          np.tile([0.8, -0.8], (len(traj.times), 1)))
+    assert len(set(traj.face_ids.tolist())) == 1
+
+
+def test_start_face_that_splits_at_once_is_an_event_at_zero():
+    # xi(0) = (0.3, 0, 0.8) exposes the edge of the cube between
+    # (1, -1, 1) and (1, 1, 1); under the edge's barycentric control
+    # xi_2' = 0.8 u_1 > 0, so the curve leaves on the vertex (1, 1, 1).
+    heis = heisenberg_group()
+    cube = MaxNorm(3).poly
+    traj = integrate_polyhedral(heis, MaxNorm(3), [0.3, 0.0, 0.8], 2.0,
+                                1e-2)
+    first = traj.events[0]
+    assert first.t == 0.0
+    assert cube.faces()[first.from_face].dim == 1
+    assert traj.face_ids[0] == first.from_face
+    assert np.array_equal(cube.vertices[cube.faces()[first.to_face]
+                                        .vertex_ids[0]], [1.0, 1.0, 1.0])
+    assert np.array_equal(traj.controls[0], [1.1, 1.1, 1.1])
+    # xi_1 = 0.3 - 0.8 * 1.1 t crosses zero next.
+    assert traj.events[1].t == pytest.approx(0.3 / 0.88, abs=1e-12)
+    assert all(a.t < b.t for a, b in zip(traj.events, traj.events[1:]))
+
+
+def test_start_control_on_a_face_that_splits_at_once_is_replaced():
+    # The same edge start as above, with a given control inside the
+    # edge: it maximizes at t = 0 only, so the curve leaves on the
+    # vertex (1, 1, 1) exactly as under the rule's own control.
+    heis = heisenberg_group()
+    lam = [0.3, 0.0, 0.8]
+    given = 1.1 * np.array([1.0, 0.5, 1.0])
+    traj = integrate_polyhedral(heis, MaxNorm(3), lam, 2.0, 1e-2,
+                                start_control=given)
+    plain = integrate_polyhedral(heis, MaxNorm(3), lam, 2.0, 1e-2)
+    assert traj.events[0].t == 0.0
+    assert traj.events == plain.events
+    assert np.array_equal(traj.controls[0], [1.1, 1.1, 1.1])
+    assert np.array_equal(traj.points, plain.points)
+
+
+@pytest.mark.parametrize("lam, norm, pol, switches", [
+    # xi_1 = 0.25 - 0.5 t vanishes at t = 0.5, which is node 50; the
+    # dual point then turns a corner every 1.0.
+    ([0.25, 0.25, 0.5], MaxNorm(3), None, [0.5, 1.5, 2.5, 3.5]),
+    ([0.3, -0.3, 0.4], MaxNorm(3), None, [0.75, 2.25, 3.75]),
+    ([0.5, 0.1, 0.4], MaxNorm(3), None, [1.25, 2.75]),
+    ([0.6, -0.2, 0.75], MaxNorm(2), (0, 1), [1.0 / 3.0, 5.0 / 3.0, 3.0]),
+], ids=["one", "three", "two", "square"])
+def test_switches_on_grid_nodes_are_solved(lam, norm, pol, switches):
+    # A switch on a grid node leaves that node within rounding of the
+    # tie, where the gap may read positive before it has been negative:
+    # that is no switch, and no root solve is attempted.
+    traj = integrate_polyhedral(heisenberg_group(), norm, lam, 4.0, 1e-2,
+                                polarization=pol)
+    assert [e.t for e in traj.events] == pytest.approx(switches, abs=1e-12)
+
+
+def _touching_ball(lift: float) -> tuple[Polyhedron, np.ndarray]:
+    """The cube plus a vertex pair +-w whose gap to the first vertex
+    along the rotation arc of lam = (0.8, -0.5, 0.3) peaks at ``lift``
+    at s = 0.255, midway between two nodes."""
+    rot = rotation_group()
+    lam = np.array([0.8, -0.5, 0.3])
+    u = np.array([1.6, -1.6, 1.6])
+
+    def xi(s):
+        return coadjoint_dual_point(rot, lam, group_exp(rot, s * u))
+
+    s_t, h = 0.255, 1e-4
+    xi_t = xi(s_t)
+    d = dual_derivative(rot, lam, group_exp(rot, s_t * u), u)
+    n = np.cross(xi_t, d)
+    n /= np.linalg.norm(n)
+    curve = (xi(s_t + h) - 2.0 * xi(s_t) + xi(s_t - h)) / h ** 2
+    w = u / 1.6 - 0.4 * np.sign(n @ curve) * n + lift * xi_t / (xi_t @ xi_t)
+    cube = linf_ball(3).vertices
+    return Polyhedron.from_vertices(np.vstack([cube, w, -w])), lam
+
+
+@pytest.mark.parametrize("lift", [0.0, 1e-6], ids=["touch", "short_visit"])
+def test_visits_within_one_step_are_not_seen(lift):
+    # Faces are compared at grid nodes only: a tangential touch, or a
+    # visit that starts and ends between two nodes, logs no event.
+    # (Heisenberg gaps are linear, so there no visit can hide.)
+    ball, lam = _touching_ball(lift)
+    assert len(ball.vertices) == 10
+    traj = integrate_polyhedral(rotation_group(), PolyhedralNorm(ball), lam,
+                                0.5, 1e-2)
+    assert traj.events == []
+    assert traj.speed == pytest.approx(1.6, abs=1e-12)
+
+
+def test_segment_windows_stay_linear(monkeypatch):
+    # Work per segment tracks the nodes it covers: the stacked arcs of a
+    # run with tens of switches evaluate a few times the grid.
+    rows = []
+    original = groups.exp
+
+    def counting_exp(spec, coords):
+        rows.append(int(np.prod(np.shape(coords)[:-1])))
+        return original(spec, coords)
+
+    monkeypatch.setattr(groups, "exp", counting_exp)
+    traj = integrate_polyhedral(heisenberg_group(), MaxNorm(2),
+                                [0.3, 0.5, 6.0], 6.0, 1e-2,
+                                polarization=(0, 1))
+    assert len(traj.events) >= 30
+    assert sum(rows) <= 3 * len(traj.times) + 10 * len(traj.events)
 
 
 # -- abelian degeneration ----------------------------------------------------

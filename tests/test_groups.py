@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from subfinsler import (
@@ -115,6 +116,47 @@ def test_from_matrix_rejects_off_span():
 
 
 # -- exponentials ---------------------------------------------------------------
+
+
+# Every registered group, plus the generic path: charts built without
+# closed forms, which use stacked expm and explicit conjugation.
+STACK_GROUPS = {name: (lambda name=name: group_by_name(name))
+                for name in ALL_GROUPS}
+STACK_GROUPS["generic_rotation"] = lambda: matrix_group(
+    "generic_rotation", rotation_group().basis)
+STACK_GROUPS["generic_affine_line"] = lambda: matrix_group(
+    "generic_affine_line", affine_line_group().basis)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(STACK_GROUPS)), data=st.data())
+def test_stacked_kernels_match_each_element(name, data):
+    spec = STACK_GROUPS[name]()
+    rows = data.draw(st.integers(1, 5))
+    entry = st.floats(-2.0, 2.0, allow_nan=False)
+    x = np.array(data.draw(st.lists(entry, min_size=rows * spec.dim,
+                                    max_size=rows * spec.dim)))
+    x = x.reshape(rows, spec.dim)
+    lam = np.array(data.draw(st.lists(entry, min_size=spec.dim,
+                                      max_size=spec.dim)))
+    size = spec.matrix_size
+    gs = group_exp(spec, x)
+    adj = adjoint_matrix(spec, gs)
+    duals = coadjoint_dual_point(spec, lam, gs)
+    assert gs.shape == (rows, size, size)
+    assert adj.shape == (rows, spec.dim, spec.dim)
+    assert duals.shape == (rows, len(spec.polarization))
+    for i in range(rows):
+        g = group_exp(spec, x[i])
+        assert np.max(np.abs(gs[i] - g)) <= 1e-12
+        assert np.max(np.abs(adj[i] - adjoint_matrix(spec, g))) <= 1e-12
+        assert np.max(np.abs(duals[i] - coadjoint_dual_point(spec, lam, g))
+                      ) <= 1e-12
+    # A second stack axis is carried through as well.
+    grid = group_exp(spec, x.reshape(1, rows, spec.dim))
+    assert np.max(np.abs(grid[0] - gs)) <= 1e-12
+    assert np.max(np.abs(coadjoint_dual_point(spec, lam, grid)[0] - duals)
+                  ) <= 1e-12
 
 
 def test_exp_closed_matches_expm(any_group, rng):

@@ -142,6 +142,17 @@ def test_face_witness_exposes_its_face(any_ball):
         assert any_ball.face_of(face.witness).fid == face.fid
 
 
+def test_subface_follows_the_covector(any_ball, rng):
+    for face in any_ball.faces():
+        eta = rng.standard_normal(any_ball.dim)
+        sub = any_ball.subface(face, eta)
+        vals = any_ball.vertices[list(face.vertex_ids)] @ eta
+        top = [i for i, v in zip(face.vertex_ids, vals)
+               if v >= vals.max() - 1e-9]
+        assert set(top) <= sub.vertex_set <= face.vertex_set
+        assert any_ball.subface(face, np.zeros(any_ball.dim)) == face
+
+
 def test_face_of_rejects_zero(any_ball):
     with pytest.raises(PolyhedronError):
         any_ball.face_of(np.zeros(any_ball.dim))
