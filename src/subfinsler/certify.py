@@ -14,24 +14,27 @@ Consequently the exposed faces seen inside any time window shorter than
 ``delta / (N*(lam) * M)`` all contain a common dual-sphere point, hence
 lie in a common closed face.
 
-:func:`verify_face_stability` checks that conclusion window by window
-on an integrated trajectory, :func:`finsler_short_bound` turns it into
-a geodesic statement for short curves, :func:`abelianized_minimality`
-applies the same window check to the curve projected to the
-abelianization (it reads the curve's own face history, which the
-projection preserves when its differential is invertible on the
-polarization), and :func:`vertical_shortcut` constructs the explicit
+:func:`verify_face_stability` checks that conclusion exactly, at every
+window position (a window longer than the run is clipped to it), on
+the face history of an integrated trajectory; :func:`certify_trajectory`
+and :func:`abelianized_minimality` (the curve projected to the
+abelianization, whose face history is the curve's own when the
+projection's differential is invertible on the polarization) build
+their certificates through it; :func:`finsler_short_bound` turns the
+window into a closed-form length bound for short curves (a Lambert W
+value); and :func:`vertical_shortcut` constructs the explicit
 quadrilateral path that beats the central one-parameter subgroup.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 from scipy.linalg import qr
+from scipy.special import lambertw
 
 from . import convex, flow, groups
 from .polyhedra import Polyhedron
@@ -61,24 +64,29 @@ class MEstimate:
                 "rate": float(self.rate)}
 
 
-@dataclass
+@dataclass(frozen=True)
 class StabilityCertificate:
     """Outcome of a windowed face stability check.
 
-    ``lp_solves`` counts the star-covering LPs behind ``delta``; it is 0
-    when ``delta`` was given rather than computed.
+    ``violations`` holds one window per minimal run of faces that share
+    no closed face yet fit in one window, so the verdict holds exactly
+    when there is none.  ``lp_solves`` counts the star-covering LPs
+    behind ``delta``.
     """
 
-    verdict: bool
+    kind: str
     window: float
     delta: float
+    lp_solves: int
     m_estimate: MEstimate
     lam: np.ndarray
     lam_reference_dual: float
     speed: float
-    violations: list[dict] = dataclass_field(default_factory=list)
-    kind: str = "face-stability"
-    lp_solves: int = 0
+    violations: list[dict]
+
+    @property
+    def verdict(self) -> bool:
+        return not self.violations
 
     def to_json_dict(self) -> dict:
         return {
@@ -142,11 +150,6 @@ def adjoint_bracket_bound(spec: groups.GroupSpec, radius: float,
     return MEstimate(radius, bracket, rate)
 
 
-def _reference_dual(lam: np.ndarray) -> float:
-    """N*(lam): the sum norm, dual to the max norm N."""
-    return float(np.sum(np.abs(lam)))
-
-
 def stability_window(delta: float, lam_reference_dual: float,
                      m_value: float) -> float:
     """Window length delta / (N*(lam) * M); infinite when M vanishes."""
@@ -175,44 +178,60 @@ def _segments(traj: flow.Trajectory) -> list[tuple[float, float, int]]:
     return segs
 
 
-def verify_face_stability(traj: flow.Trajectory, window: float,
-                          m_estimate: MEstimate, delta: float,
-                          lam_reference_dual: float) -> StabilityCertificate:
-    """Check that faces seen within any window share a common face.
+def verify_face_stability(traj: flow.Trajectory, window: float
+                          ) -> list[dict]:
+    """Windows of the given length whose faces share no closed face.
 
-    Windows of the given length slide over the grid nodes and the event
-    times; the faces active on the open window must all be contained in
-    one closed face of the sphere complex.  Transitions through a
-    common superface (vertex to vertex across their edge, say) are
-    legitimate; a genuine violation needs two incompatible faces inside
-    one window.  Every face lies in a facet, so the faces share a
-    closed face exactly when some facet contains them all, that is when
-    their ``facets`` intersect.
+    Open windows slide over the whole run, clipped to it: ``span =
+    min(window, T)``, so ``inf`` (M = 0) checks the whole run.  Faces
+    share a closed face exactly when their ``facets`` intersect, so a
+    vertex to vertex pass across their edge is fine.  A window meets the
+    face segments ``i..j`` (zero-length ones dropped) exactly when those
+    strictly between them total less than ``span``; each minimal
+    incompatible run so met gives one violation.
     """
     facets = [frozenset(f.facets)
               for f in convex.as_polyhedron(traj.norm).faces()]
-    segs = _segments(traj)
     t_final = float(traj.times[-1])
-    starts = sorted(set([float(t) for t in traj.times]
-                        + [s for s, _, _ in segs]))
-    violations = []
-    if math.isfinite(window):
-        for start in starts:
-            stop = start + window
-            if stop > t_final + 1e-12:
+    span = min(window, t_final)
+    segs = [seg for seg in _segments(traj) if seg[1] > seg[0]]
+    violations, last = [], None
+    for i, (_, end, fid) in enumerate(segs):
+        common = facets[fid]
+        for j in range(i + 1, len(segs)):
+            if segs[j][0] - end >= span:
                 break
-            active = {fid for s, e, fid in segs
-                      if s < stop - 1e-15 and e > start + 1e-15}
-            if len(active) > 1 and not frozenset.intersection(
-                    *(facets[fid] for fid in active)):
+            common = common & facets[segs[j][2]]
+            if not common:
+                if last == j:
+                    violations.pop()  # that run contains the run i..j
+                last = j
+                # Starts in (s_j - span, e_i) within [0, T - span] meet
+                # segments i..j; take the middle of that range.
+                start = 0.5 * (max(segs[j][0] - span, 0.0)
+                               + min(end, t_final - span))
                 violations.append({
-                    "t_start": float(start), "t_end": float(stop),
-                    "face_ids": sorted(int(f) for f in active)})
+                    "t_start": start, "t_end": start + span,
+                    "face_ids": sorted({f for _, _, f in segs[i:j + 1]})})
+                break
+    return violations
+
+
+def _certificate(kind: str, traj: flow.Trajectory, radius: float,
+                 lam: np.ndarray, window: float | None = None
+                 ) -> StabilityCertificate:
+    """Covering, ``M(radius)`` and window of the curve's ball and group."""
+    ball = convex.as_polyhedron(traj.norm)
+    covering = ball.star_covering()
+    m_est = adjoint_bracket_bound(traj.group, radius, ball, traj.polarization)
+    lam_dual = float(np.sum(np.abs(traj.lam)))  # N*: the sum norm
+    if window is None:
+        window = stability_window(covering.delta, lam_dual, m_est.value)
     return StabilityCertificate(
-        verdict=len(violations) == 0, window=window, delta=delta,
-        m_estimate=m_estimate, lam=traj.lam,
-        lam_reference_dual=lam_reference_dual, speed=traj.speed,
-        violations=violations)
+        kind=kind, window=window, delta=covering.delta,
+        lp_solves=covering.lp_solves, m_estimate=m_est, lam=lam,
+        lam_reference_dual=lam_dual, speed=traj.speed,
+        violations=verify_face_stability(traj, window))
 
 
 def certify_trajectory(traj: flow.Trajectory,
@@ -220,81 +239,53 @@ def certify_trajectory(traj: flow.Trajectory,
     """Full pipeline: covering bound, adjoint bound, windowed check.
 
     The adjoint bound radius is the curve length, since the curve
-    starts at the identity, and its ball is the curve's own.  An
-    explicit ``window`` overrides the derived one.
+    starts at the identity.  An explicit ``window`` overrides the
+    derived one.
     """
-    ball = convex.as_polyhedron(traj.norm)
-    covering = ball.star_covering()
-    radius = traj.speed * float(traj.times[-1])
-    m_est = adjoint_bracket_bound(traj.group, radius, ball, traj.polarization)
-    lam_dual = _reference_dual(traj.lam)
-    if window is None:
-        window = stability_window(covering.delta, lam_dual, m_est.value)
-    cert = verify_face_stability(traj, window, m_est, covering.delta,
-                                 lam_dual)
-    cert.lp_solves = covering.lp_solves
-    return cert
+    return _certificate("face-stability", traj,
+                        traj.speed * float(traj.times[-1]), traj.lam, window)
 
 
-def finsler_short_bound(delta: float, m_of_radius, l_max: float = 64.0,
-                        rel_tol: float = 1e-12) -> float:
-    """Largest length L with delta / (L * M(L)) > 1, by bisection.
+def finsler_short_bound(delta: float, bracket: float, rate: float) -> float:
+    """The length L with L * M(L) = delta, for M(L) = bracket e^(L rate).
 
-    Curves shorter than the returned bound keep their controls inside a
-    single face.  ``m_of_radius`` maps a radius to the adjoint bound;
-    the quotient is decreasing, so plain bisection applies.
+    Curves shorter than L keep their controls inside a single face.
+    With ``x = L * rate`` the equation reads ``x e^x = delta * rate /
+    bracket``, solved by the Lambert W function.
     """
-
-    def admissible(length: float) -> bool:
-        m = m_of_radius(length)
-        if m == 0.0:
-            return True
-        return delta / (length * m) > 1.0
-
-    if admissible(l_max):
-        return l_max
-    lo, hi = 0.0, l_max
-    while hi - lo > rel_tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if admissible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    if bracket == 0.0:
+        return math.inf
+    if rate == 0.0:
+        return delta / bracket
+    return float(lambertw(delta * rate / bracket).real) / rate
 
 
 def abelianized_minimality(sub: groups.SubmetryData, traj: flow.Trajectory
                            ) -> StabilityCertificate:
     """Windowed face check for the projected curve in the abelianization.
 
-    ``dpi`` restricted to the polarization must be square and
-    invertible.  It then maps the velocity ball linearly onto the
-    projected ball, so the faces of the two balls correspond one to one,
-    the covering bound ``delta`` is the same for both, and the projected
-    controls change face exactly when the curve's own controls do.  The
-    window check therefore runs on the curve's own face history: with
-    ``alpha = delta / M(1)`` the projected controls stay within a common
-    face on every window of length ``alpha / N*(lam)``, which makes the
-    projected curve, and hence the curve itself, minimizing on such
-    windows.  The certificate reports the projected covector.
+    ``traj`` must run on the source group, and ``dpi`` restricted to the
+    polarization must be square and invertible.  It then maps the
+    velocity ball linearly onto the projected ball, so the faces of the
+    two balls correspond one to one, the covering bound ``delta`` is the
+    same for both, and the projected controls change face exactly when
+    the curve's own controls do.  The window check therefore runs on the
+    curve's own face history: with ``M = M(1)`` the projected controls
+    stay within a common face on every window of length
+    ``delta / (N*(lam) * M)``, which makes the projected curve, and
+    hence the curve itself, minimizing on such windows.  The certificate
+    reports the projected covector.
     """
+    if traj.group.name != sub.source.name:
+        raise ValueError(f"the curve runs on {traj.group.name!r}, not on "
+                         f"the source group {sub.source.name!r}")
     dpi_v = sub.dpi_on_polarization(traj.polarization)
     if (dpi_v.shape[0] != dpi_v.shape[1]
             or np.linalg.matrix_rank(dpi_v, tol=1e-12) < dpi_v.shape[0]):
         raise ValueError("the differential of the submetry is not "
                          "invertible on the polarization")
-    ball = convex.as_polyhedron(traj.norm)
-    covering = ball.star_covering()
-    delta = covering.delta
-    m_est = adjoint_bracket_bound(sub.source, 1.0, ball, traj.polarization)
-    lam_dual = _reference_dual(traj.lam)
-    alpha = delta if m_est.value == 0.0 else delta / m_est.value
-    cert = verify_face_stability(traj, alpha / lam_dual, m_est, delta,
-                                 lam_dual)
-    cert.kind = "abelianized-minimality"
-    cert.lp_solves = covering.lp_solves
-    cert.lam = dpi_v @ traj.lam[list(traj.polarization)]
-    return cert
+    return _certificate("abelianized-minimality", traj, 1.0,
+                        dpi_v @ traj.lam[list(traj.polarization)])
 
 
 # ---------------------------------------------------------------------------

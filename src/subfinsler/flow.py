@@ -50,6 +50,8 @@ DEGENERATE_DUAL_TOL = 1e-13
 # Default coincidence / divergence thresholds for branching detection.
 AGREE_TOL = 1e-6
 SPLIT_TOL = 1e-3
+# Allowed drift of the speed and dual norm, in grid steps.
+SPEED_SLACK_FACTOR = 10.0
 
 
 class FlowError(RuntimeError):
@@ -552,17 +554,16 @@ def detect_branching(first: Trajectory, second: Trajectory,
                         agree_tol, split_tol)
 
 
-def check_constant_speed(traj: Trajectory, slack_factor: float = 10.0
-                         ) -> dict:
+def check_constant_speed(traj: Trajectory) -> dict:
     """Verify the conserved quantities along a trajectory.
 
     The control norm and the dual norm of the dual point both stay at
-    the curve speed; the allowed drift is ``slack_factor * step``.
+    the curve speed; the allowed drift is ``SPEED_SLACK_FACTOR * step``.
     """
     r = traj.speed
     control_dev = max(abs(traj.norm.value(u) - r) for u in traj.controls)
     dual_dev = max(abs(traj.norm.dual_value(xi) - r) for xi in traj.duals)
-    allowed = slack_factor * traj.step
+    allowed = SPEED_SLACK_FACTOR * traj.step
     return {
         "speed": r,
         "control_deviation": float(control_dev),
@@ -580,10 +581,10 @@ def lift_curve(sub: groups.SubmetryData, traj: Trajectory,
                norm: convex.Norm) -> Trajectory:
     """Lift a trajectory from the target of a submetry to its source.
 
-    Controls are lifted nodewise to least-norm admissible preimages, so
-    the lift is horizontal, projects back onto the input curve, and has
-    the same pointwise speed; the normal covector is the input covector
-    composed with the differential.
+    Each distinct control is lifted once, to its least-norm admissible
+    preimage, so the lift is horizontal, projects back onto the input
+    curve, and has the same pointwise speed; the normal covector is the
+    input covector composed with the differential.
     """
     spec = sub.source
     pol = spec.polarization
@@ -591,9 +592,9 @@ def lift_curve(sub: groups.SubmetryData, traj: Trajectory,
     n = len(traj.times)
     size = spec.matrix_size
     points = np.empty((n, size, size))
-    controls = np.empty((n, len(pol)))
-    for i in range(n):
-        controls[i] = groups.min_norm_preimage(sub, norm, traj.controls[i])
+    distinct, which = np.unique(traj.controls, axis=0, return_inverse=True)
+    controls = np.array([groups.min_norm_preimage(sub, norm, u)
+                         for u in distinct])[which.reshape(-1)]
     hops = groups.exp(spec, np.diff(traj.times)[:, None]
                       * _embed(controls[:-1], spec.dim, pol))
     points[0] = spec.identity()

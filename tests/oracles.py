@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's analytic code paths:
 dual energies come from direct numerical maximization, face lattices
 from feasibility programs over vertex subsets, the window rule of the
-stability check from unions over that lattice, and adjoint images from
+stability check from unions over that lattice (tried at every critical
+window start of a face history), and adjoint images from
 explicit matrix conjugation resolved by least squares.  The adjoint
 bracket bound is sampled over group points reached through the curve's
 own ball.  The sum and
@@ -122,6 +123,34 @@ def faces_share_a_closed_face(lattice: set[frozenset[int]],
     """
     union = frozenset().union(*vertex_sets)
     return any(union <= face for face in lattice)
+
+
+def window_vertex_sets(segments, start: float, span: float
+                       ) -> list[frozenset[int]]:
+    """Faces of the ``(t_start, t_end, vertex_set)`` segments of positive
+    length that the open window ``(start, start + span)`` meets."""
+    return [vs for s, e, vs in segments
+            if e > s and s < start + span and e > start]
+
+
+def window_violation_starts(lattice: set[frozenset[int]], segments,
+                            t_end: float, window: float) -> list[float]:
+    """Starts of the windows on [0, t_end] whose faces share no face.
+
+    The window length is ``span = min(window, t_end)``.  The faces a
+    window meets change only where its start or end crosses a segment
+    end, so it is enough to try the starts ``s``, ``e``, ``s - span`` and
+    ``e - span`` of every segment, within ``[0, t_end - span]``, and the
+    midpoints between consecutive ones.
+    """
+    span = min(window, t_end)
+    crit = {0.0, t_end - span}
+    for s, e, _ in segments:
+        crit.update((s, e, s - span, e - span))
+    crit = sorted(a for a in crit if 0.0 <= a <= t_end - span)
+    starts = crit + [0.5 * (a + b) for a, b in zip(crit, crit[1:])]
+    return [a for a in starts if not faces_share_a_closed_face(
+        lattice, window_vertex_sets(segments, a, span))]
 
 
 def _dual_faces(vertices: np.ndarray, functionals: np.ndarray

@@ -46,7 +46,6 @@ from subfinsler import (
     verify_face_stability,
     vertical_shortcut,
 )
-from subfinsler.certify import MEstimate
 from subfinsler.cli import load_scenario, main as cli_main
 from subfinsler.groups import exp as group_exp
 
@@ -269,16 +268,13 @@ def test_every_window_keeps_a_common_face():
             coords = np.array([comm[0, 1], comm[1, 2], comm[0, 2]])
             brute = max(brute, float(np.max(np.abs(coords))))
     assert brute == 2.0
-    est = MEstimate(radius=3.0, bracket=2.0, rate=0.0)
     window = delta / 2.0  # reference dual 1, growth bound 2
     rng = np.random.default_rng(707)
     for _ in range(100):
         lam = rng.standard_normal(3)
         lam /= np.sum(np.abs(lam))  # unit dual norm for the max norm
         traj = integrate_polyhedral(heis, norm, lam, 3.0, 0.01)
-        cert = verify_face_stability(traj, window, est, delta,
-                                     lam_reference_dual=1.0)
-        assert cert.verdict, lam
+        assert not verify_face_stability(traj, window), lam
     assert time.perf_counter() - t0 < 30.0
 
 

@@ -1,5 +1,6 @@
 """Stability certificates, adjoint bounds, and the vertical shortcut."""
 
+import dataclasses
 import math
 from itertools import product
 
@@ -9,8 +10,12 @@ import pytest
 from oracles import (
     adjoint_bracket_max,
     cube_bracket_coordinates,
+    face_lattice_bruteforce,
+    faces_share_a_closed_face,
     sampled_adjoint_bracket_max,
     vertex_arc_bracket_max,
+    window_vertex_sets,
+    window_violation_starts,
 )
 from subfinsler import (
     MaxNorm,
@@ -151,10 +156,22 @@ def test_stability_window_algebra():
 
 
 def test_finsler_short_bound_constant_m():
-    # With M constant the bisection solves delta / (L * M) = 1 exactly.
-    bound = finsler_short_bound(2.0, lambda r: 2.0)
-    assert bound == pytest.approx(1.0, abs=1e-9)
-    assert finsler_short_bound(2.0, lambda r: 0.0) == 64.0
+    # With M constant, L * M = delta gives L = delta / M exactly.
+    assert finsler_short_bound(2.0, 2.0, 0.0) == 1.0
+    # With no bracket M vanishes and every length qualifies.
+    assert finsler_short_bound(2.0, 0.0, 0.0) == math.inf
+    assert finsler_short_bound(2.0, 0.0, 3.0) == math.inf
+
+
+def test_finsler_short_bound_solves_the_growth_equation():
+    for delta, bracket, rate in product((0.1, 2.0, 7.5),
+                                        (0.5, 2.0, 2.0 * math.sqrt(2.0)),
+                                        (1e-6, 0.3, 3.0, 40.0)):
+        length = finsler_short_bound(delta, bracket, rate)
+        m = MEstimate(length, bracket, rate).value
+        assert length > 0.0
+        assert abs(length * m - delta) <= 1e-12 * delta, (delta, bracket,
+                                                          rate)
 
 
 # -- windowed face checks ------------------------------------------------------
@@ -166,6 +183,8 @@ def test_certify_generic_heisenberg_run():
                                 3.0, 1e-2)
     cert = certify_trajectory(traj)
     assert cert.verdict
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.kind = "abelianized-minimality"
     assert cert.delta == pytest.approx(2.0, abs=1e-9)
     assert cert.m_estimate.value == 2.0
     assert cert.lam_reference_dual == pytest.approx(1.0, abs=1e-12)
@@ -179,7 +198,8 @@ def test_certify_generic_heisenberg_run():
 
 def test_verify_face_stability_negative_control():
     # A fabricated trajectory that jumps between opposite cube vertices
-    # inside one window must be flagged.
+    # inside one window must be flagged, also by a window longer than
+    # the run (M = 0 gives an infinite one), which checks the whole run.
     heis = heisenberg_group()
     norm = MaxNorm(3)
     ball = linf_ball(3)
@@ -197,13 +217,85 @@ def test_verify_face_stability_negative_control():
         speed=3.0,
         events=[FaceEvent(0.45, v_plus.fid, v_minus.fid)],
         rule="persistent", step=0.1)
-    est = MEstimate(radius=3.0, bracket=2.0, rate=0.0)
-    cert = verify_face_stability(fake, window=0.5, m_estimate=est,
-                                 delta=2.0, lam_reference_dual=1.0)
-    assert not cert.verdict
-    assert cert.violations
-    first = cert.violations[0]
-    assert set(first["face_ids"]) == {v_plus.fid, v_minus.fid}
+    for window in (0.5, 1.5, math.inf):
+        violations = verify_face_stability(fake, window)
+        assert len(violations) == 1, window
+        first = violations[0]
+        assert set(first["face_ids"]) == {v_plus.fid, v_minus.fid}
+        assert first["t_start"] < 0.45 < first["t_end"]
+        assert first["t_end"] - first["t_start"] == min(window, 1.0)
+
+
+def _cube_walk(fids, switches, t_end=1.0):
+    """A face history on the max-norm cube visiting ``fids`` in turn,
+    switching at ``switches``, with grid nodes only at 0 and ``t_end``.
+
+    Only the face history matters to the window check; the chart points
+    stay at the identity.
+    """
+    return Trajectory(
+        group=translation_group(3), norm=MaxNorm(3), polarization=(0, 1, 2),
+        lam=np.ones(3), times=np.array([0.0, t_end]),
+        points=np.tile(np.eye(4), (2, 1, 1)), controls=np.zeros((2, 3)),
+        duals=np.zeros((2, 3)), face_ids=np.array([fids[0], fids[-1]]),
+        speed=1.0, events=[FaceEvent(t, a, b) for t, a, b
+                           in zip(switches, fids, fids[1:])],
+        rule="persistent", step=t_end)
+
+
+def _vertex_ids(*corners):
+    ball = linf_ball(3)
+    return [ball.face_of(np.array(c, dtype=float)).fid for c in corners]
+
+
+def test_window_between_grid_nodes_is_checked():
+    # Vertex, neighbouring vertex, then its opposite at t = 0.5.  No
+    # grid node or switch starts a window of length 0.12 that meets both
+    # opposite vertices, but the window [0.44, 0.56] does.
+    fids = _vertex_ids((1, 1, 1), (1, 1, -1), (-1, -1, 1))
+    violations = verify_face_stability(_cube_walk(fids, [0.25, 0.5]), 0.12)
+    assert len(violations) == 1
+    assert violations[0]["t_start"] == pytest.approx(0.44, abs=1e-15)
+    assert violations[0]["t_end"] == pytest.approx(0.56, abs=1e-15)
+    assert violations[0]["face_ids"] == sorted(fids[1:])
+
+
+def test_one_violation_per_minimal_incompatible_run():
+    # With window 0.3 both the whole walk and its last two vertices are
+    # incompatible runs inside one window; only the minimal one counts.
+    fids = _vertex_ids((1, 1, 1), (1, 1, -1), (-1, -1, 1))
+    violations = verify_face_stability(_cube_walk(fids, [0.25, 0.5]), 0.3)
+    assert [v["face_ids"] for v in violations] == [sorted(fids[1:])]
+
+
+def test_window_check_matches_the_critical_point_oracle(rng):
+    ball = linf_ball(3)
+    faces = ball.faces()
+    lattice = face_lattice_bruteforce(ball.vertices)
+    verdicts = set()
+    for trial in range(300):
+        size = int(rng.integers(2, 7))
+        fids = [int(f) for f in rng.integers(0, len(faces), size)]
+        lengths = rng.uniform(0.0, 1.0, size)
+        lengths[rng.random(size) < 0.15] = 0.0  # zero-length segments
+        lengths[rng.integers(size)] += 0.1
+        bounds = np.concatenate([[0.0], np.cumsum(lengths)])
+        t_end = float(bounds[-1])
+        window = (math.inf if trial % 10 == 0
+                  else t_end * float(rng.uniform(0.02, 1.5)))
+        segments = [(float(s), float(e), faces[f].vertex_set)
+                    for s, e, f in zip(bounds, bounds[1:], fids)]
+        bad = window_violation_starts(lattice, segments, t_end, window)
+        violations = verify_face_stability(
+            _cube_walk(fids, bounds[1:-1].tolist(), t_end), window)
+        assert bool(violations) == bool(bad), (fids, lengths, window)
+        span = min(window, t_end)
+        for v in violations:
+            assert 0.0 <= v["t_start"] <= t_end - span
+            assert not faces_share_a_closed_face(
+                lattice, window_vertex_sets(segments, v["t_start"], span))
+        verdicts.add(not violations)
+    assert verdicts == {True, False}
 
 
 def test_adjacent_faces_within_window_are_fine():
@@ -213,12 +305,9 @@ def test_adjacent_faces_within_window_are_fine():
     traj = integrate_polyhedral(heis, MaxNorm(3), [0.3, 0.5, 0.8],
                                 0.5, 1e-2)
     assert traj.events  # the xi_1 sign change happens before t = 0.5
-    est = MEstimate(radius=0.8, bracket=2.0, rate=0.0)
     # Window short enough to fit the run but long enough to straddle
     # the switch, so the compatibility logic is actually exercised.
-    cert = verify_face_stability(traj, window=0.3, m_estimate=est,
-                                 delta=2.0, lam_reference_dual=1.6)
-    assert cert.verdict
+    assert verify_face_stability(traj, window=0.3) == []
 
 
 def test_abelianized_minimality_certificate():
@@ -269,6 +358,15 @@ def test_abelianized_rejects_a_non_invertible_differential():
     traj = integrate_polyhedral(sub.source, MaxNorm(3), [0.0, 0.0, 1.0],
                                 1.0, 1e-2)
     with pytest.raises(ValueError, match="not invertible"):
+        abelianized_minimality(sub, traj)
+
+
+def test_abelianized_rejects_a_curve_on_another_group():
+    # M is read off the curve's own group, so it must be the source.
+    sub = heisenberg_abelianization()
+    traj = integrate_polyhedral(sub.target, MaxNorm(2), [1.0, 0.25],
+                                1.0, 1e-2)
+    with pytest.raises(ValueError, match="source group"):
         abelianized_minimality(sub, traj)
 
 

@@ -526,6 +526,33 @@ def test_lift_curve_projects_back():
         assert MaxNorm(3).value(u) == pytest.approx(traj.speed, abs=1e-9)
 
 
+def test_lift_curve_solves_one_fiber_lp_per_distinct_control(monkeypatch):
+    # Controls repeat between face events, so the lift solves one fiber
+    # LP per distinct control, and the result is the nodewise lift.
+    sub = heisenberg_abelianization()
+    traj = integrate_polyhedral(sub.target, MaxNorm(2), [1.0, 0.25],
+                                1.0, 1e-2)
+    switched = traj.controls.copy()
+    switched[60:] = [-1.0, 1.0]
+    calls = []
+    real = groups.linprog
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for controls, distinct in ((traj.controls, 1), (switched, 2)):
+        traj.controls = controls
+        nodewise = np.array([groups.min_norm_preimage(sub, MaxNorm(3), u)
+                             for u in controls])
+        calls.clear()
+        monkeypatch.setattr(groups, "linprog", counting)
+        lifted = lift_curve(sub, traj, MaxNorm(3))
+        monkeypatch.setattr(groups, "linprog", real)
+        assert len(calls) == distinct
+        assert np.array_equal(lifted.controls, nodewise)
+
+
 # -- CSV round trip ------------------------------------------------------------
 
 
