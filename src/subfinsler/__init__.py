@@ -31,7 +31,6 @@ from .convex import (
     MaxNorm,
     Norm,
     NormError,
-    OracleNorm,
     PolyhedralNorm,
     RootSumNorm,
     SumNorm,

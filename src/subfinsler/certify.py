@@ -220,7 +220,13 @@ def verify_face_stability(traj: flow.Trajectory, window: float
 def _certificate(kind: str, traj: flow.Trajectory, radius: float,
                  lam: np.ndarray, window: float | None = None
                  ) -> StabilityCertificate:
-    """Covering, ``M(radius)`` and window of the curve's ball and group."""
+    """Covering, ``M(radius)`` and window of the curve's ball and group.
+
+    Raises ValueError for a curve with no face history (face ids -1,
+    as on smooth-norm and subgroup runs).
+    """
+    if np.any(traj.face_ids < 0):
+        raise ValueError("the curve carries no face history")
     ball = convex.as_polyhedron(traj.norm)
     covering = ball.star_covering()
     m_est = adjoint_bracket_bound(traj.group, radius, ball, traj.polarization)

@@ -384,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (flow.FlowError, groups.GroupChartError, convex.NormError,
-            FloatingPointError) as exc:
+            ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

@@ -16,7 +16,8 @@ Subdifferentials are returned as :class:`ConvexSet` values: a single
 point, a polytope listed by its vertices, or a support-oracle set (the
 disk-shaped subdifferentials of the rotationally symmetric corner norm
 are of the last kind).  Membership is always decided by the defining
-equalities above, so the test is uniform across representations.
+equalities above, as :func:`check_duality_inversion` evaluates them, so
+the test is uniform across representations.
 
 Every polytope norm is a :class:`PolyhedralNorm` that owns its
 :class:`~subfinsler.polyhedra.Polyhedron`, and there the two
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .polyhedra import Polyhedron, l1_ball, linf_ball
 
@@ -57,7 +57,7 @@ class ConvexSet:
     """A convex set in one of three representations.
 
     ``kind`` is ``"point"``, ``"polytope"`` (vertex list), or
-    ``"support"`` (membership oracle plus an optional sampler).  The
+    ``"support"`` (membership oracle plus a sampler).  The
     ``contains`` test always goes through the membership oracle so that
     all three kinds answer membership the same way.
     """
@@ -82,9 +82,7 @@ class ConvexSet:
                 w = rng.dirichlet(np.ones(len(verts)))
                 rows.append(w @ verts)
             return np.array(rows)
-        if self.sampler is not None:
-            return self.sampler(rng, count)
-        raise NormError("set carries no sampler")
+        return self.sampler(rng, count)
 
 
 def _point_set(p: np.ndarray, membership) -> ConvexSet:
@@ -121,9 +119,8 @@ class Norm:
     """Base class: a norm with exact dual norm and subdifferentials."""
 
     family: str = ""
-    # One of ``polyhedral``, ``smooth-strongly-convex``,
-    # ``strongly-convex`` (strictly convex but with corners), or
-    # ``unknown`` for oracle-backed norms.
+    # One of ``polyhedral``, ``smooth-strongly-convex``, or
+    # ``strongly-convex`` (strictly convex but with corners).
     convexity_class: str = ""
     dim: int = 0
 
@@ -173,24 +170,13 @@ class Norm:
 
     def _membership(self, u: Vector):
         """Membership oracle for the subdifferential of ``E`` at ``u``."""
-        nu = self.value(np.asarray(u, dtype=float))
-        uu = np.asarray(u, dtype=float)
-
-        def check(eta: np.ndarray, tol: float) -> bool:
-            return (abs(self.dual_value(eta) - nu) <= tol
-                    and abs(float(eta @ uu) - nu * nu) <= tol)
-
-        return check
+        u = np.asarray(u, dtype=float)
+        return lambda eta, tol: check_duality_inversion(self, u, eta, tol)[0]
 
     def _dual_membership(self, eta: Covector):
-        nd = self.dual_value(np.asarray(eta, dtype=float))
-        ee = np.asarray(eta, dtype=float)
-
-        def check(v: np.ndarray, tol: float) -> bool:
-            return (abs(self.value(v) - nd) <= tol
-                    and abs(float(ee @ v) - nd * nd) <= tol)
-
-        return check
+        """Membership oracle for the subdifferential of ``E*`` at ``eta``."""
+        eta = np.asarray(eta, dtype=float)
+        return lambda v, tol: check_duality_inversion(self, v, eta, tol)[2]
 
     # serialization ----------------------------------------------------
 
@@ -530,70 +516,6 @@ class RootSumNorm(Norm):
         if n1 == 0.0 and float(u @ u) == 0.0:
             return _point_set(np.zeros(self.dim), membership=member)
         return _vertex_hull(u + n1 * _sign_completions(u), member)
-
-
-class OracleNorm(Norm):
-    """Norm given only by a value callable; duals fall back to search.
-
-    Used for pushforward norms with no closed form.  The dual norm is a
-    maximization over the unit sphere, solved by seeded random restarts
-    plus a local polish, so values are deterministic but carry sampling
-    error around 1e-10 only on well-conditioned problems.
-    """
-
-    family = "oracle"
-    convexity_class = "unknown"
-
-    def __init__(self, dim: int, value_fn: Callable[[np.ndarray], float],
-                 restarts: int = 64, seed: int = 0):
-        self.dim = int(dim)
-        self._value_fn = value_fn
-        self._restarts = int(restarts)
-        self._seed = int(seed)
-
-    def value(self, v):
-        return float(self._value_fn(np.asarray(v, dtype=float)))
-
-    def _best_direction(self, eta: np.ndarray) -> np.ndarray:
-        rng = np.random.default_rng(self._seed)
-        dirs = rng.standard_normal((self._restarts, self.dim))
-        dirs = np.vstack([dirs, np.eye(self.dim), -np.eye(self.dim),
-                          eta[None, :]])
-
-        def neg_ratio(d: np.ndarray) -> float:
-            n = self.value(d)
-            if n <= 0.0:
-                return 0.0
-            return -float(eta @ d) / n
-
-        best = min(dirs, key=neg_ratio)
-        res = minimize(neg_ratio, best, method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-14,
-                                "maxiter": 4000})
-        cand = res.x if res.fun < neg_ratio(best) else best
-        return np.asarray(cand, dtype=float) / self.value(cand)
-
-    def dual_value(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        if not np.any(eta):
-            return 0.0
-        return float(eta @ self._best_direction(eta))
-
-    def unit_face(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        if not np.any(eta):
-            raise NormError("unit maximizer undefined at the zero covector")
-        return self._best_direction(eta)
-
-    def subdiff_energy(self, u):
-        u = np.asarray(u, dtype=float)
-        member = self._membership(u)
-        if not np.any(u):
-            return _point_set(np.zeros(self.dim), membership=member)
-        return ConvexSet(kind="support", membership=member)
-
-    def to_json_dict(self):
-        raise NormError("oracle norms are not serializable")
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,11 @@ one step is not seen (on the Heisenberg group none can be, since the
 dual point moves in straight lines there).  Where the exposed face is
 set-valued a selection rule picks the control; several rules are
 provided because normal data does not determine the control there.
+
+Neither integrator returns a curve with a non-finite node: a speed,
+dual point, dual point velocity or chart point that overflows raises
+:class:`IntegrationError`, and so does a face switch that ``brentq``
+cannot solve or that advances neither time nor face.
 """
 
 from __future__ import annotations
@@ -182,6 +187,23 @@ def _restrict(lam: np.ndarray, polarization: tuple[int, ...]) -> np.ndarray:
     return np.asarray(lam, dtype=float)[list(polarization)]
 
 
+def _curve_speed(speed: float) -> float:
+    """The dual norm of the restricted covector, checked to be usable."""
+    if not DEGENERATE_DUAL_TOL < speed < math.inf:
+        raise IntegrationError("covector vanishes on the polarization"
+                               if speed <= DEGENERATE_DUAL_TOL
+                               else "speed is not finite", 0.0)
+    return speed
+
+
+def _check_finite(points: np.ndarray, times: np.ndarray) -> None:
+    """Raise at the first chart point that overflowed, if any."""
+    bad = ~np.isfinite(points).all(axis=(1, 2))
+    if bad.any():
+        raise IntegrationError("chart point is not finite",
+                               float(times[np.argmax(bad)]))
+
+
 def whole_steps(t_end: float, step: float) -> int:
     """The number of grid steps from 0 to ``t_end``.
 
@@ -216,17 +238,16 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
         raise FlowError("polyhedral norms need the event-driven integrator")
     pol = spec.polarization if polarization is None else tuple(polarization)
     lam = np.asarray(lam, dtype=float)
-    speed = norm.dual_value(_restrict(lam, pol))
-    if speed <= DEGENERATE_DUAL_TOL:
-        raise IntegrationError("covector vanishes on the polarization", 0.0)
-
+    speed = _curve_speed(norm.dual_value(_restrict(lam, pol)))
     basis_v = spec.basis[list(pol)]
 
     def control(g: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
         xi = groups.coadjoint_dual_point(spec, lam, g, pol)
         nd = norm.dual_value(xi)
-        if nd <= DEGENERATE_DUAL_TOL * speed:
-            raise IntegrationError("dual point degenerated to zero", t)
+        if not DEGENERATE_DUAL_TOL * speed < nd < math.inf:
+            raise IntegrationError("dual point degenerated to zero"
+                                   if nd <= DEGENERATE_DUAL_TOL * speed
+                                   else "dual point is not finite", t)
         return nd * norm.unit_face(xi), xi
 
     def velocity(g: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -277,6 +298,7 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
         regime = new_regime
         points[i + 1] = g_next
 
+    _check_finite(points, times)
     return Trajectory(group=spec, norm=norm, polarization=pol, lam=lam,
                       times=times, points=points, controls=controls,
                       duals=duals, face_ids=np.full(n_steps + 1, -1),
@@ -345,9 +367,7 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
     poly = convex.as_polyhedron(norm)
     pol = spec.polarization if polarization is None else tuple(polarization)
     lam = np.asarray(lam, dtype=float)
-    speed = poly.dual_value(_restrict(lam, pol))
-    if speed <= DEGENERATE_DUAL_TOL:
-        raise IntegrationError("covector vanishes on the polarization", 0.0)
+    speed = _curve_speed(poly.dual_value(_restrict(lam, pol)))
 
     def arc(g: np.ndarray, u_v: np.ndarray, s) -> tuple[np.ndarray,
                                                          np.ndarray]:
@@ -366,8 +386,10 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
         """
         tried: set[int] = set()
         while True:
-            face = poly.subface(touch,
-                                dual_derivative(spec, lam, g, u, pol))
+            velocity = dual_derivative(spec, lam, g, u, pol)
+            if not np.isfinite(poly.vertices @ velocity).all():
+                raise IntegrationError("dual point velocity overflows", t)
+            face = poly.subface(touch, velocity)
             if face.fid == chosen.fid or (rule == "persistent"
                                           and support <= face.vertex_set):
                 return face, u, support
@@ -431,6 +453,8 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
             s = times[k:stop] - t_seg
             pts, xis = arc(g, u, s)
             h = gap(xis)
+            if not np.isfinite(h).all():
+                raise IntegrationError("dual point overflows", times[k])
             neg = h < 0.0
             hits = np.nonzero((h > 0.0) & (np.logical_or.accumulate(neg)
                                            | (lo is not None)))[0]
@@ -448,8 +472,12 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
                             return end_h
                     return float(gap(arc(g, u, s_probe)[1]))
 
-                root = brentq(gap_at, lo[0], hi[0], xtol=_ROOT_XTOL,
-                              rtol=_ROOT_RTOL)
+                try:
+                    root = brentq(gap_at, lo[0], hi[0], xtol=_ROOT_XTOL,
+                                  rtol=_ROOT_RTOL)
+                except RuntimeError as exc:
+                    raise IntegrationError(f"face switch not solved ({exc})",
+                                           t_seg + lo[0]) from exc
                 keep = int(np.searchsorted(s, root, side="right"))
             points[k:k + keep], duals[k:k + keep] = pts[:keep], xis[:keep]
             controls[k:k + keep], face_ids[k:k + keep] = u, face.fid
@@ -458,18 +486,23 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
                 span *= 2
                 continue
             g, xi = arc(g, u, root)
-            t_seg += root
+            t_next = t_seg + root
             touch = poly.face_of(xi)
-            new_face, u, support = face_after(touch, t_seg, g, u, support,
+            new_face, u, support = face_after(touch, t_next, g, u, support,
                                               face)
             if new_face.fid != face.fid:
-                events.append(FaceEvent(t_seg, face.fid, new_face.fid))
+                events.append(FaceEvent(t_next, face.fid, new_face.fid))
                 if len(events) > max_switches:
                     raise FaceThrashError(events)
-            face = new_face
+            elif t_next == t_seg:
+                # Rounding stalled the arc: the same state would repeat.
+                raise IntegrationError("a face switch advanced neither "
+                                       "time nor face", t_seg)
+            face, t_seg = new_face, t_next
             span = max(k - first, 1)
             break
 
+    _check_finite(points, times)
     return Trajectory(group=spec, norm=norm, polarization=pol, lam=lam,
                       times=times, points=points, controls=controls,
                       duals=duals, face_ids=face_ids, speed=speed,
@@ -561,8 +594,11 @@ def check_constant_speed(traj: Trajectory) -> dict:
     the curve speed; the allowed drift is ``SPEED_SLACK_FACTOR * step``.
     """
     r = traj.speed
-    control_dev = max(abs(traj.norm.value(u) - r) for u in traj.controls)
-    dual_dev = max(abs(traj.norm.dual_value(xi) - r) for xi in traj.duals)
+    # np.max, unlike max, propagates NaN, so a NaN run is not ok.
+    control_dev = np.max([abs(traj.norm.value(u) - r)
+                          for u in traj.controls])
+    dual_dev = np.max([abs(traj.norm.dual_value(xi) - r)
+                       for xi in traj.duals])
     allowed = SPEED_SLACK_FACTOR * traj.step
     return {
         "speed": r,

@@ -16,8 +16,9 @@ arc of grid nodes is one call.
 
 :class:`SubmetryData` describes a surjective homomorphism onto a lower
 dimensional group whose differential maps the velocity ball onto the
-target ball; :func:`pushforward_norm` computes that image norm (exactly
-for polytopes, by fiber minimization otherwise).
+target ball; :func:`pushforward_norm` computes that image norm exactly:
+a polytope's image, or the euclidean norm under an orthonormal
+differential, and :class:`~subfinsler.convex.NormError` otherwise.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import linprog, minimize_scalar
+from scipy.optimize import linprog
 
 from . import convex
 from .polyhedra import Polyhedron
@@ -440,9 +441,9 @@ def min_norm_preimage(sub: SubmetryData, norm: convex.Norm, w: np.ndarray,
                       ) -> np.ndarray:
     """Least-norm admissible velocity mapping to ``w`` under dpi.
 
-    Exact linear program for polyhedral norms; one-dimensional fibers
-    are solved by bounded scalar minimization, and larger smooth fibers
-    are not supported.
+    An exact linear program for polyhedral norms.  For a euclidean norm,
+    or a fiber of one point, the least-squares solution is the answer;
+    smooth norms with a nontrivial fiber raise :class:`NormError`.
     """
     dpi_v = sub.dpi_on_polarization(polarization)
     w = np.asarray(w, dtype=float)
@@ -459,19 +460,11 @@ def min_norm_preimage(sub: SubmetryData, norm: convex.Norm, w: np.ndarray,
         if not res.success:
             raise GroupChartError(f"fiber LP failed: {res.message}")
         return res.x[:dv]
-    particular, *_ = np.linalg.lstsq(dpi_v, w, rcond=None)
-    _, sing, vt = np.linalg.svd(dpi_v)
-    null = vt[np.sum(sing > 1e-12):].T
-    if null.shape[1] == 0:
-        return particular
-    if null.shape[1] != 1:
-        raise GroupChartError("only one-dimensional smooth fibers supported")
-    direction = null[:, 0]
-    span = 4.0 * (1.0 + norm.value(particular))
-    res = minimize_scalar(lambda s: norm.value(particular + s * direction),
-                          bounds=(-span, span), method="bounded",
-                          options={"xatol": 1e-12})
-    return particular + res.x * direction
+    if (norm.family != "euclidean"
+            and np.linalg.matrix_rank(dpi_v, tol=1e-12) < dv):
+        raise convex.NormError(f"no exact least-norm preimage for the "
+                               f"{norm.family} norm on a nontrivial fiber")
+    return np.linalg.lstsq(dpi_v, w, rcond=None)[0]
 
 
 def pushforward_norm(sub: SubmetryData, norm: convex.Norm,
@@ -480,8 +473,9 @@ def pushforward_norm(sub: SubmetryData, norm: convex.Norm,
     """Image of an admissible-velocity norm under dpi.
 
     The unit ball of the image norm is the dpi-image of the source
-    ball: exact for polytopes, euclidean when dpi has orthonormal rows,
-    and an oracle norm solving the fiber problem otherwise.
+    ball.  Only exact images are returned: a polytope's image, or the
+    euclidean norm when dpi has orthonormal rows; any other norm raises
+    :class:`NormError`.
     """
     dpi_v = sub.dpi_on_polarization(polarization)
     if np.linalg.matrix_rank(dpi_v, tol=1e-12) < dpi_v.shape[0]:
@@ -494,6 +488,5 @@ def pushforward_norm(sub: SubmetryData, norm: convex.Norm,
             and np.allclose(dpi_v @ dpi_v.T, np.eye(dpi_v.shape[0]),
                             atol=1e-12)):
         return convex.EuclideanNorm(dpi_v.shape[0])
-    return convex.OracleNorm(
-        dpi_v.shape[0],
-        lambda w: norm.value(min_norm_preimage(sub, norm, w, polarization)))
+    raise convex.NormError(f"the image of the {norm.family} norm has no "
+                           f"exact form")

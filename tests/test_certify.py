@@ -33,6 +33,7 @@ from subfinsler import (
     linf_ball,
     rotation_group,
     stability_window,
+    subgroup_trajectory,
     translation_group,
     verify_face_stability,
     vertical_shortcut,
@@ -368,6 +369,24 @@ def test_abelianized_rejects_a_curve_on_another_group():
                                 1.0, 1e-2)
     with pytest.raises(ValueError, match="source group"):
         abelianized_minimality(sub, traj)
+
+
+def test_certify_needs_a_face_history():
+    # A subgroup run has face ids -1 and no events, yet its dual points
+    # expose faces 0, 2 and 3, which share no facet: reading facets[-1]
+    # used to pass it.
+    traj = subgroup_trajectory(heisenberg_group(), MaxNorm(2),
+                               [-0.8, -0.5, 2.4], [0.2, -0.8], 2.0, 0.01,
+                               polarization=(0, 1))
+    ball = linf_ball(2)
+    exposed = {ball.face_of(xi).fid for xi in traj.duals}
+    assert {0, 2, 3} <= exposed
+    assert not frozenset.intersection(
+        *(frozenset(ball.faces()[f].facets) for f in (0, 2, 3)))
+    with pytest.raises(ValueError, match="no face history"):
+        certify_trajectory(traj, window=2.0)
+    with pytest.raises(ValueError, match="no face history"):
+        abelianized_minimality(heisenberg_abelianization(), traj)
 
 
 # -- the vertical shortcut -------------------------------------------------------

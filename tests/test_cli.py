@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import subfinsler
 from subfinsler import convex
 from subfinsler.cli import ScenarioError, load_scenario, main
 
@@ -211,6 +216,74 @@ def test_degenerate_covector_exits_3(tmp_path, capsys):
     code = run("integrate", "--config", src, "--out", tmp_path)
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def _heisenberg_scenario(path, family, dim, covector):
+    scenario = {"name": "overflow", "group": "heisenberg",
+                "norm": {"family": family, "dim": dim},
+                "covector": covector, "t_end": 0.1, "step": 0.01}
+    if dim == 2:
+        scenario["polarization"] = [0, 1]
+    path.write_text(json.dumps(scenario))
+    return path
+
+
+@pytest.mark.parametrize("command, family, dim, covector", [
+    # The dual point's velocity overflows at the first face choice.
+    ("integrate", "linf", 3, [1e154, 1e154, 1e154]),
+    # brentq cannot converge on a switch at t = 1.6e-17.
+    ("integrate", "l1", 2, [0.3, 0.5, 1e17]),
+    # A switch root at t = 1.1e-308 stops the arc: the segment loop
+    # used to repeat the same state forever.
+    ("integrate", "l1", 2, [0.3, 0.5, 1e308]),
+    ("certify", "l1", 2, [0.3, 0.5, 1e308]),
+    # The smooth run used to exit 0 with NaN rows from t = 0.01 on.
+    ("integrate", "euclidean", 2, [0.3, 0.5, 1e308]),
+])
+def test_overflowing_covector_exits_3_in_a_subprocess(tmp_path, command,
+                                                      family, dim,
+                                                      covector):
+    # A subprocess with a timeout fails, rather than hangs, if a loop
+    # stops advancing again.
+    src = _heisenberg_scenario(tmp_path / "run.json", family, dim, covector)
+    out = tmp_path / "out"
+    package_root = Path(subfinsler.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    proc = subprocess.run(
+        [sys.executable, "-m", "subfinsler.cli", command, "--config",
+         str(src), "--out", str(out)],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 3
+    assert "numerical failure:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, family, dim, covector", [
+    ("certify", "linf", 3, [1e154, 1e154, 1e154]),
+    ("branch", "linf", 3, [1e154, 1e154, 1e154]),
+    # The velocity is finite but its support values overflow.
+    ("integrate", "linf", 2, [1.0, 0.0, 1e308]),
+    # The dual norm of the covector itself overflows.
+    ("integrate", "linf", 2, [1e308, 1e308, 1.0]),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_covector_exits_3(tmp_path, capsys, command, family,
+                                      dim, covector):
+    src = _heisenberg_scenario(tmp_path / "run.json", family, dim, covector)
+    assert run(command, "--config", src, "--out", tmp_path / "out") == 3
+    assert "numerical failure:" in capsys.readouterr().err
+
+
+def test_overflowing_adjoint_bound_exits_3(tmp_path, capsys):
+    # M(radius) = bracket * e^(radius * rate) overflows for this speed.
+    src = tmp_path / "run.json"
+    src.write_text(json.dumps({
+        "name": "steep", "group": "affine_line",
+        "norm": {"family": "linf", "dim": 2},
+        "covector": [9.6e16, 1.3], "t_end": 0.1, "step": 0.01}))
+    assert run("certify", "--config", src, "--out", tmp_path) == 3
+    assert "numerical failure:" in capsys.readouterr().err
 
 
 def test_certify_without_polytope_ball_exits_2(tmp_path, capsys):

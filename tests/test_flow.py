@@ -100,6 +100,37 @@ def test_degenerate_covector_raises():
                              polarization=(0, 1))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("spec, norm, lam, t_end, step, pol, message", [
+    # Each run used to return non-finite nodes.
+    (heisenberg_group(), EuclideanNorm(2), [0.3, 0.5, 1e308], 0.1, 0.01,
+     (0, 1), "dual point is not finite"),
+    (affine_line_group(), MaxNorm(2), [7.8, 26445.6], 2.0, 0.5, None,
+     "dual point overflows"),
+    # Only the chart overflows; the dual point stays put.
+    (heisenberg_group(), CornerNorm(), [0.0, 0.0, 1e308], 10.0, 1.0,
+     (0, 2), "chart point is not finite"),
+    (translation_group(2), MaxNorm(2), [1e307, 0.0], 20.0, 1.0, None,
+     "chart point is not finite"),
+])
+def test_overflowing_run_raises(spec, norm, lam, t_end, step, pol,
+                                message):
+    with pytest.raises(IntegrationError, match=message):
+        flow.integrate(spec, norm, lam, t_end, step, polarization=pol)
+
+
+def test_speed_check_fails_on_nan_nodes():
+    traj = integrate_smooth(heisenberg_group(), EuclideanNorm(2),
+                            [0.3, 0.5, 0.8], 0.1, 0.01, polarization=(0, 1))
+    assert check_constant_speed(traj)["ok"]
+    traj.controls[3] = np.nan
+    traj.duals[5] = np.nan
+    check = check_constant_speed(traj)
+    assert math.isnan(check["control_deviation"])
+    assert math.isnan(check["dual_deviation"])
+    assert not check["ok"]
+
+
 # -- polyhedral integrator ---------------------------------------------------
 
 

@@ -12,6 +12,7 @@ from subfinsler import (
     EuclideanNorm,
     GroupChartError,
     MaxNorm,
+    NormError,
     RootSumNorm,
     SumNorm,
     adjoint_matrix,
@@ -356,7 +357,7 @@ def test_min_norm_preimage_euclidean(rng):
         u = min_norm_preimage(sub, EuclideanNorm(3), w)
         assert np.allclose(u[:2], w, atol=1e-9)
         # The fiber coordinate drops out at the euclidean minimum.
-        assert abs(u[2]) <= 1e-6
+        assert abs(u[2]) <= 1e-12
 
 
 def test_pushforward_cube_is_square(rng):
@@ -379,12 +380,17 @@ def test_pushforward_euclidean_is_euclidean():
     assert pushed.dim == 2
 
 
-def test_pushforward_smooth_norm_oracle():
+def test_pushforward_smooth_norm_raises():
+    # The image of root_sum has no closed form, and no search stands in.
     sub = heisenberg_abelianization()
-    pushed = pushforward_norm(sub, RootSumNorm(3))
-    assert pushed.family == "oracle"
-    assert pushed.value([1.0, 0.0]) == pytest.approx(math.sqrt(2.0),
-                                                     abs=1e-9)
+    with pytest.raises(NormError):
+        pushforward_norm(sub, RootSumNorm(3))
+
+
+def test_min_norm_preimage_smooth_fiber_raises():
+    sub = heisenberg_abelianization()
+    with pytest.raises(NormError):
+        min_norm_preimage(sub, RootSumNorm(3), np.array([1.0, 0.0]))
 
 
 def test_preimage_norms_match_sum_norm_fiber(rng):
