@@ -7,10 +7,11 @@ description can be derived from the other by dualizing a convex hull, so
 both constructors funnel through the same routine.
 
 On top of the two descriptions the module provides the boundary face
-lattice, the map from a covector to the face it exposes, open stars of
-dual points, and a covering of the dual sphere by such stars together
+lattice, the map from a covector to the face it exposes, and a covering
+of the dual sphere by the open stars of the facet functionals together
 with a certified Lebesgue-style bound: any two points of the dual sphere
-closer than the bound lie in a common star.
+closer than the bound lie in a common star.  The dual sphere's faces
+are the faces' ``facets`` sets and its gauge's rows are the ``vertices``.
 """
 
 from __future__ import annotations
@@ -107,8 +108,7 @@ class Polyhedron:
         self._faces: list[Face] | None = None
         self._face_by_set: dict[frozenset[int], Face] | None = None
         # Vertex ids on each facet, indexed like ``functionals``.
-        self._facet_sets: list[frozenset[int]] | None = None
-        self._validate()
+        self._facet_sets = self._validate()
 
     # -- construction ------------------------------------------------
 
@@ -129,7 +129,9 @@ class Polyhedron:
         ext_dual, fns_dual = _extreme_and_facets(covectors)
         return cls(fns_dual, ext_dual)
 
-    def _validate(self) -> None:
+    def _validate(self) -> list[frozenset[int]]:
+        """Check the data and return the vertex ids on each facet.  Every
+        functional must be a facet, so ``facets`` is the polar lattice."""
         if self.vertices.ndim != 2 or self.functionals.ndim != 2:
             raise PolyhedronError("vertices and functionals must be 2d arrays")
         if self.functionals.shape[1] != self.dim:
@@ -147,6 +149,13 @@ class Polyhedron:
         rank = np.linalg.matrix_rank(self.vertices, tol=1e-9)
         if rank < self.dim:
             raise PolyhedronError("ball is not full-dimensional")
+        incidence = vals >= 1.0 - 1e-9
+        # One stacked SVD: rows off the facet are zeroed out.
+        ranks = np.linalg.matrix_rank(
+            np.where(incidence[:, :, None], self.vertices, 0.0), tol=1e-9)
+        if np.any(ranks < self.dim):
+            raise PolyhedronError("some functional supports no facet")
+        return [frozenset(np.nonzero(row)[0]) for row in incidence]
 
     # -- gauge and dual gauge ----------------------------------------
 
@@ -157,10 +166,6 @@ class Polyhedron:
     def dual_value(self, eta: np.ndarray) -> float:
         """Support function of the ball: max of ``eta`` over the vertices."""
         return float(np.max(self.vertices @ np.asarray(eta, dtype=float)))
-
-    def dual(self) -> "Polyhedron":
-        """The polar ball, whose vertices are this ball's functionals."""
-        return Polyhedron.from_vertices(self.functionals)
 
     # -- face lattice ------------------------------------------------
 
@@ -176,9 +181,7 @@ class Polyhedron:
         return self._faces
 
     def _build_faces(self) -> None:
-        vals = self.functionals @ self.vertices.T
-        facet_sets = [frozenset(np.nonzero(row >= 1.0 - 1e-9)[0])
-                      for row in vals]
+        facet_sets = self._facet_sets
         seen: set[frozenset[int]] = set(facet_sets)
         queue = list(seen)
         while queue:
@@ -203,7 +206,6 @@ class Polyhedron:
                  np.mean(self.functionals[list(facets)], axis=0))
             for fid, (fdim, ids, facets) in enumerate(faces)]
         self._face_by_set = {f.vertex_set: f for f in self._faces}
-        self._facet_sets = facet_sets
 
     def face_of(self, eta: np.ndarray) -> Face:
         """The face exposed by a nonzero covector.
@@ -215,6 +217,8 @@ class Polyhedron:
         """
         vals = self.vertices @ np.asarray(eta, dtype=float)
         top = float(np.max(vals))
+        if not np.isfinite(top):
+            raise PolyhedronError("support value is not finite")
         if top <= 0.0:
             raise PolyhedronError("covector must be nonzero")
         return self._face_containing(vals >= top * (1.0 - FACE_REL_TOL))
@@ -228,6 +232,8 @@ class Polyhedron:
         ids = np.array(face.vertex_ids)
         vals = self.vertices[ids] @ np.asarray(eta, dtype=float)
         scale = float(np.max(np.abs(vals)))
+        if not np.isfinite(scale):
+            raise PolyhedronError("support value is not finite")
         keep = vals >= np.max(vals) - FACE_REL_TOL * scale
         active = np.zeros(len(self.vertices), dtype=bool)
         active[ids[keep]] = True
@@ -246,15 +252,6 @@ class Polyhedron:
             raise PolyhedronError("active set lies on no facet")
         return self._face_by_set[frozenset.intersection(*hit)]
 
-    def star_contains(self, eta: np.ndarray, xi: np.ndarray) -> bool:
-        """Whether ``xi`` lies in the open star of ``eta`` on the dual sphere.
-
-        The open star of a dual point is the complement of the closed dual
-        faces that miss it; concretely ``xi`` belongs to it exactly when
-        every vertex exposed by ``xi`` is also exposed by ``eta``.
-        """
-        return self.face_of(xi).vertex_set <= self.face_of(eta).vertex_set
-
     # -- star covering -----------------------------------------------
 
     def star_covering(self) -> "StarCovering":
@@ -265,14 +262,13 @@ class Polyhedron:
         dual-norm distance between disjoint closed faces of the dual
         ball's boundary complex, computed exactly by linear programming
         over the inclusion-maximal disjoint pairs only: enlarging either
-        face can only shrink the distance.
+        face can only shrink the distance.  No polar ball is built.
         """
-        facet_faces = [self.face_of(lam) for lam in self.functionals]
-        delta, lp_solves = _min_disjoint_face_distance(self.dual())
+        delta, lp_solves = _min_disjoint_face_distance(self)
         return StarCovering(
             poly=self,
-            base_covectors=self.functionals.copy(),
-            base_face_ids=tuple(f.fid for f in facet_faces),
+            base_face_ids=tuple(self._face_by_set[s].fid
+                                for s in self._facet_sets),
             delta=delta,
             lp_solves=lp_solves,
         )
@@ -292,21 +288,19 @@ class Polyhedron:
                    np.array(data["functionals"], dtype=float))
 
 
-def _polytope_pair_distance(poly: Polyhedron, pts_a: np.ndarray,
+def _polytope_pair_distance(gauge: np.ndarray, pts_a: np.ndarray,
                             pts_b: np.ndarray) -> float:
     """Least gauge distance between conv(pts_a) and conv(pts_b).
 
+    The gauge is ``max_k gauge_k . z`` over the rows of ``gauge``.
     Solved as the linear program  min t  over convex weights (w, z) with
-    ``lam(sum_i w_i a_i - sum_j z_j b_j) <= t`` for every functional of
-    ``poly`` (the gauge in which the distance is measured).
+    ``gauge_k . (sum_i w_i a_i - sum_j z_j b_j) <= t`` for every row.
     """
     pa = np.atleast_2d(pts_a)
     pb = np.atleast_2d(pts_b)
     na, nb = pa.shape[0], pb.shape[0]
-    lam_a = poly.functionals @ pa.T
-    lam_b = poly.functionals @ pb.T
-    a_ub = np.hstack([lam_a, -lam_b,
-                      -np.ones((poly.functionals.shape[0], 1))])
+    a_ub = np.hstack([gauge @ pa.T, -(gauge @ pb.T),
+                      -np.ones((gauge.shape[0], 1))])
     a_eq = np.zeros((2, na + nb + 1))
     a_eq[0, :na] = 1.0
     a_eq[1, na:na + nb] = 1.0
@@ -320,28 +314,32 @@ def _polytope_pair_distance(poly: Polyhedron, pts_a: np.ndarray,
     return float(res.fun)
 
 
-def _min_disjoint_face_distance(ball: Polyhedron) -> tuple[float, int]:
-    """Least gauge distance between disjoint closed boundary faces.
+def _min_disjoint_face_distance(poly: Polyhedron) -> tuple[float, int]:
+    """Least dual-gauge distance between disjoint dual-sphere faces.
 
-    Returns the distance and the number of LPs solved.  Only the
-    inclusion-maximal disjoint pairs are solved: ``dist(A', B') <=
-    dist(A, B)`` whenever ``A'`` contains ``A`` and ``B'`` contains
+    The dual face of a primal ``k``-face is its ``facets`` set, of
+    dimension ``poly.dim - 1 - k``, and the dual gauge's rows are the
+    primal vertices.  Returns the distance and the number of LPs solved.
+    Only the inclusion-maximal disjoint pairs are solved: ``dist(A', B')
+    <= dist(A, B)`` whenever ``A'`` contains ``A`` and ``B'`` contains
     ``B``, and every disjoint pair lies under a maximal one.  The face
     lattice is graded, so a disjoint pair is maximal exactly when every
     cover (immediate superface) of each side meets the other side.
     """
-    faces = ball.faces()
-    sets = [f.vertex_set for f in faces]
-    covers = [[t for g, t in zip(faces, sets) if g.dim == f.dim + 1 and s < t]
-              for f, s in zip(faces, sets)]
+    faces = poly.faces()
+    sets = [frozenset(f.facets) for f in faces]
+    dims = [poly.dim - 1 - f.dim for f in faces]
+    covers = [[t for e, t in zip(dims, sets) if e == d + 1 and s < t]
+              for d, s in zip(dims, sets)]
     pairs = [(a, b) for a, b in combinations(range(len(faces)), 2)
              if not sets[a] & sets[b]
              and all(c & sets[b] for c in covers[a])
              and all(c & sets[a] for c in covers[b])]
     if not pairs:
         raise PolyhedronError("no disjoint face pair found")
-    pts = [ball.vertices[list(f.vertex_ids)] for f in faces]
-    best = min(_polytope_pair_distance(ball, pts[a], pts[b]) for a, b in pairs)
+    pts = [poly.functionals[list(f.facets)] for f in faces]
+    best = min(_polytope_pair_distance(poly.vertices, pts[a], pts[b])
+               for a, b in pairs)
     return best, len(pairs)
 
 
@@ -355,24 +353,22 @@ class StarCovering:
     """
 
     poly: Polyhedron
-    base_covectors: np.ndarray
     base_face_ids: tuple[int, ...]
     delta: float
     lp_solves: int
 
     def covering_stars(self, xi: np.ndarray) -> list[int]:
-        """Indices of base covectors whose open star contains ``xi``.
+        """Indices of the facet functionals whose open star contains ``xi``.
 
-        The base covectors are the facet functionals, and the star of a
-        facet contains ``xi`` exactly when the facet contains the face
-        ``xi`` exposes.
+        The star of a facet contains ``xi`` exactly when the facet
+        contains the face ``xi`` exposes.
         """
         return list(self.poly.face_of(xi).facets)
 
     def to_json_dict(self) -> dict:
         return {
             "base_covectors": [[float(x) for x in row]
-                               for row in self.base_covectors],
+                               for row in self.poly.functionals],
             "base_face_ids": [int(i) for i in self.base_face_ids],
             "delta": float(self.delta),
             "lp_solves": int(self.lp_solves),

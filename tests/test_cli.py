@@ -317,6 +317,12 @@ MALFORMED_NORMS = {
         "vertices": [[1.0, 0.0], [0.0, 1.0], [-1.0], [0.0, -1.0]],
         "functionals": [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0],
                         [1.0, -1.0]]}},
+    # The square with the loose functionals +-(0.5, 0), which support no
+    # vertex: every functional must be a facet of the ball.
+    "loose_functional": {"family": "polyhedral", "dim": 2, "params": {
+        "vertices": [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]],
+        "functionals": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+                        [0.5, 0.0], [-0.5, 0.0]]}},
     "null_dim": {"family": "l1", "dim": None},
     # A cube on three directions where the polarization has two.
     "wrong_dim": {"family": "linf", "dim": 3},

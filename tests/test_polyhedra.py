@@ -67,11 +67,6 @@ def test_canonical_vertex_order_is_input_independent(rng):
     assert np.array_equal(base.functionals, again.functionals)
 
 
-def test_dual_of_dual_round_trip(any_ball):
-    back = any_ball.dual().dual()
-    assert np.allclose(back.vertices, any_ball.vertices, atol=1e-9)
-
-
 def test_validation_rejects_bad_input():
     with pytest.raises(PolyhedronError):
         Polyhedron.from_vertices(np.array([[1.0, 0.0], [0.0, 1.0],
@@ -86,6 +81,13 @@ def test_validation_rejects_bad_input():
                              [0.0, 1.0], [0.0, -1.0]]))
     with pytest.raises(PolyhedronError):
         regular_polygon_ball(5)
+    # Loose functionals touching no vertex or one corner: every functional
+    # must be a facet, since the faces' ``facets`` are the polar lattice.
+    square = linf_ball(2)
+    for loose in (np.array([[0.5, 0.0]]), np.array([[0.5, 0.5]])):
+        with pytest.raises(PolyhedronError, match="no facet"):
+            Polyhedron(square.vertices,
+                       np.vstack([square.functionals, loose, -loose]))
 
 
 def test_gauge_and_support_values():
@@ -157,6 +159,18 @@ def test_face_of_rejects_zero(any_ball):
         any_ball.face_of(np.zeros(any_ball.dim))
 
 
+@pytest.mark.parametrize("eta", [[np.nan, 1.0], [np.inf, -np.inf],
+                                 [np.inf, 1.0], [1e308, 1e308]],
+                         ids=["nan", "inf_minus_inf", "inf", "overflow"])
+def test_non_finite_support_values_raise(eta):
+    square = linf_ball(2)
+    with np.errstate(all="ignore"):
+        with pytest.raises(PolyhedronError, match="not finite"):
+            square.face_of(eta)
+        with pytest.raises(PolyhedronError, match="not finite"):
+            square.subface(square.faces()[-1], eta)
+
+
 def test_face_of_snaps_glued_active_sets():
     # A covector within FACE_REL_TOL of a vertex functional activates
     # several vertices whose hull is not a face; the smallest containing
@@ -224,14 +238,6 @@ def test_window_check_matches_the_union_rule(any_ball, rng):
 # -- stars and the covering bound -----------------------------------------
 
 
-def test_star_contains_basics(any_ball, rng):
-    for _ in range(20):
-        eta = rng.standard_normal(any_ball.dim)
-        assert any_ball.star_contains(eta, eta)
-        witness = any_ball.faces()[-1].witness  # a facet witness
-        assert any_ball.star_contains(witness, witness)
-
-
 def test_star_covering_deltas_frozen():
     assert l1_ball(2).star_covering().delta == pytest.approx(2.0, abs=1e-9)
     assert linf_ball(3).star_covering().delta == pytest.approx(2.0, abs=1e-9)
@@ -261,16 +267,17 @@ LP_BALLS = [
 ]
 
 
-def _record_pair_lps(monkeypatch) -> list:
-    """Patch the pair-distance LP to log (dual ball, vertex ids, vertex ids)."""
+def _record_pair_lps(monkeypatch, ball) -> list:
+    """Patch the pair-distance LP to log (gauge rows, functional ids,
+    functional ids): the dual faces of ``ball`` whose distance it solves."""
     solved = []
     real = polyhedra._polytope_pair_distance
+    index = {tuple(row): i for i, row in enumerate(ball.functionals)}
 
-    def recording(poly, pts_a, pts_b):
-        index = {tuple(row): i for i, row in enumerate(poly.vertices)}
-        solved.append((poly, frozenset(index[tuple(r)] for r in pts_a),
+    def recording(gauge, pts_a, pts_b):
+        solved.append((gauge, frozenset(index[tuple(r)] for r in pts_a),
                        frozenset(index[tuple(r)] for r in pts_b)))
-        return real(poly, pts_a, pts_b)
+        return real(gauge, pts_a, pts_b)
 
     monkeypatch.setattr(polyhedra, "_polytope_pair_distance", recording)
     return solved
@@ -279,8 +286,9 @@ def _record_pair_lps(monkeypatch) -> list:
 @pytest.mark.parametrize("make, solves", [(mk, n) for _, mk, n in LP_BALLS],
                          ids=[name for name, _, _ in LP_BALLS])
 def test_star_covering_lp_counts(monkeypatch, make, solves):
-    solved = _record_pair_lps(monkeypatch)
-    covering = make().star_covering()
+    ball = make()
+    solved = _record_pair_lps(monkeypatch, ball)
+    covering = ball.star_covering()
     assert len(solved) == solves
     assert covering.lp_solves == covering.to_json_dict()["lp_solves"] == solves
 
@@ -288,13 +296,39 @@ def test_star_covering_lp_counts(monkeypatch, make, solves):
 @pytest.mark.parametrize("make", [mk for _, mk, _ in LP_BALLS],
                          ids=[name for name, _, _ in LP_BALLS])
 def test_solved_pairs_are_the_maximal_disjoint_pairs(monkeypatch, make):
-    solved = _record_pair_lps(monkeypatch)
-    make().star_covering()
-    dual = solved[0][0]
+    # The dual faces are the polar ball's faces, as functional-index
+    # sets, and the dual gauge's rows are the primal vertices.
+    ball = make()
+    solved = _record_pair_lps(monkeypatch, ball)
+    ball.star_covering()
+    assert all(gauge is ball.vertices for gauge, _, _ in solved)
     pairs = [frozenset((a, b)) for _, a, b in solved]
     assert len(pairs) == len(set(pairs))
     assert set(pairs) == maximal_disjoint_pairs(
-        face_lattice_bruteforce(dual.vertices))
+        face_lattice_bruteforce(ball.functionals))
+
+
+def test_star_covering_builds_no_hull_and_one_lattice(monkeypatch):
+    # The dual sphere's faces are read off ``Face.facets``: covering a
+    # ball loaded from JSON builds no convex hull and one face lattice.
+    ball = Polyhedron.from_json_dict(linf_ball(3).to_json_dict())
+    calls = {"hull": 0, "lattice": 0}
+    real_hull = polyhedra.ConvexHull
+    real_build = Polyhedron._build_faces
+
+    def hull(*args, **kwargs):
+        calls["hull"] += 1
+        return real_hull(*args, **kwargs)
+
+    def build(self):
+        calls["lattice"] += 1
+        return real_build(self)
+
+    monkeypatch.setattr(polyhedra, "ConvexHull", hull)
+    monkeypatch.setattr(Polyhedron, "_build_faces", build)
+    covering = ball.star_covering()
+    assert covering.lp_solves == 4
+    assert calls == {"hull": 0, "lattice": 1}
 
 
 def _check_delta_is_exhaustive(points: np.ndarray) -> None:
@@ -350,14 +384,14 @@ def test_delta_matches_exhaustive_lp_on_ellipsoid_pairs(points):
 
 def test_pair_distance_lp_frozen():
     # Two opposite vertices of the diamond at sum-norm distance 2,
-    # measured in the gauge of the diamond itself.
+    # measured in the gauge of the diamond itself (its functionals' rows).
     diamond = l1_ball(2)
-    d = _polytope_pair_distance(diamond, np.array([[1.0, 0.0]]),
+    d = _polytope_pair_distance(diamond.functionals, np.array([[1.0, 0.0]]),
                                 np.array([[-1.0, 0.0]]))
     assert d == pytest.approx(2.0, abs=1e-9)
     # A vertex against the opposite edge of the square, max-norm gauge.
     square = linf_ball(2)
-    d = _polytope_pair_distance(square, np.array([[1.0, 1.0]]),
+    d = _polytope_pair_distance(square.functionals, np.array([[1.0, 1.0]]),
                                 np.array([[-1.0, -1.0], [1.0, -1.0]]))
     assert d == pytest.approx(2.0, abs=1e-9)
 
