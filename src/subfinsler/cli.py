@@ -222,6 +222,7 @@ def _covector(cfg: ScenarioConfig, spec: groups.GroupSpec,
 
 
 def _cmd_integrate(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
+    """One normal curve -> trajectory CSV + metadata JSON."""
     spec = cfg.build_group()
     norm = cfg.build_norm_on(spec)
     traj = flow.integrate(spec, norm, _covector(cfg, spec, cfg.covector),
@@ -238,6 +239,7 @@ def _cmd_integrate(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
 
 
 def _cmd_branch(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
+    """Two curves (or curve vs subgroup) -> branch report."""
     spec = cfg.build_group()
     norm = cfg.build_norm_on(spec)
     first = flow.integrate(spec, norm, _covector(cfg, spec, cfg.covector),
@@ -269,6 +271,7 @@ def _cmd_branch(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
 
 
 def _cmd_certify(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
+    """Trajectory + windowed face stability certificate."""
     spec = cfg.build_group()
     norm = cfg.build_norm_on(spec)
     _polytope_ball(norm)
@@ -298,6 +301,7 @@ def _cmd_certify(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
 
 
 def _cmd_shortcut(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
+    """The Heisenberg vertical shortcut -> CSV + summary."""
     if cfg.eps is None:
         raise ScenarioError("shortcut scenario needs eps")
     path = certify.vertical_shortcut(cfg.eps)
@@ -316,6 +320,7 @@ def _cmd_shortcut(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
 
 
 def _cmd_faces(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
+    """Face lattice and star covering of a polytope ball."""
     ball = _polytope_ball(cfg.build_norm_on(cfg.build_group()))
     covering = ball.star_covering()
     payload = {

@@ -13,11 +13,12 @@ tightness of the Fenchel-Young inequality, are equivalent; the three
 tests are exposed side by side by :func:`check_duality_inversion`.
 
 Subdifferentials are returned as :class:`ConvexSet` values: a single
-point, a polytope listed by its vertices, or a support-oracle set (the
-disk-shaped subdifferentials of the rotationally symmetric corner norm
-are of the last kind).  Membership is always decided by the defining
-equalities above, as :func:`check_duality_inversion` evaluates them, so
-the test is uniform across representations.
+point (``E*`` of a strictly convex ball, :meth:`Norm.grad_dual_energy`),
+a polytope listed by its vertices, or a support-oracle set (the disk on
+the corner axis of :class:`AxisCornerNorm`).  Membership is always
+decided by the defining equalities above, as
+:func:`check_duality_inversion` evaluates them, so the test is uniform
+across representations.
 
 Every polytope norm is a :class:`PolyhedralNorm` that owns its
 :class:`~subfinsler.polyhedra.Polyhedron`, and there the two
@@ -132,22 +133,16 @@ class Norm:
     def dual_value(self, eta: Covector) -> float:
         raise NotImplementedError
 
-    # faces of the unit sphere ----------------------------------------
-
-    def unit_face(self, eta: Covector) -> Vector:
-        """The unit vector maximizing a nonzero covector.
-
-        Defined only when the maximizer is unique (strictly convex
-        ball); polyhedral norms raise."""
-        raise NormError(f"unit maximizer of {self.family} is set-valued")
+    # gradient of the dual energy --------------------------------------
 
     def grad_dual_energy(self, eta: Covector) -> Vector:
-        """Gradient of ``E*`` at ``eta``: dual norm times unit maximizer."""
-        eta = np.asarray(eta, dtype=float)
-        nd = self.dual_value(eta)
-        if nd == 0.0:
-            return np.zeros(self.dim)
-        return nd * self.unit_face(eta)
+        """Gradient of ``E*`` at ``eta``: the one element of its
+        subdifferential, zero at the zero covector.
+
+        Defined only when that set is a point (strictly convex ball);
+        polyhedral norms raise."""
+        raise NormError(f"gradient of the {self.family} dual energy is "
+                        f"set-valued")
 
     def regime_id(self, eta: Covector) -> int:
         """Discrete label of the smooth piece of ``E*`` at ``eta``.
@@ -203,12 +198,8 @@ class EuclideanNorm(Norm):
     def dual_value(self, eta):
         return float(np.linalg.norm(np.asarray(eta, dtype=float)))
 
-    def unit_face(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        nd = np.linalg.norm(eta)
-        if nd == 0.0:
-            raise NormError("unit maximizer undefined at the zero covector")
-        return eta / nd
+    def grad_dual_energy(self, eta):
+        return np.array(eta, dtype=float)
 
     def subdiff_energy(self, u):
         u = np.asarray(u, dtype=float)
@@ -301,143 +292,102 @@ class MaxNorm(PolyhedralNorm):
 
 
 class CornerNorm(Norm):
-    """Planar norm ``|x| + sqrt(x**2 + y**2)``.
+    """Corner norm ``N(v) = |P v| + |v|``, ``P`` dropping the ``axis``.
 
-    Strictly convex, but the unit sphere has corners at (0, +-1), so the
-    dual ball has two flat edges there: the subdifferential of the
-    energy on the corner rays is a segment.
+    Strictly convex, but the unit sphere has corners on the axis, so the
+    dual ball is flat there.  This class is the planar norm
+    ``|x| + sqrt(x**2 + y**2)``, whose corner rays (0, +-y) have segment
+    subdifferentials; :class:`AxisCornerNorm` is this norm rotated about its
+    axis.  With ``h`` the axis coordinate of ``eta`` and ``k = |P eta|``:
 
-    Dual norm, with m = eta_y / eta_x where defined:
-
-        N*(eta) = |eta_y|                          if |eta_y| >= |eta_x|,
-        N*(eta) = (eta_x**2 + eta_y**2)/(2|eta_x|) otherwise,
+        N*(eta) = |h|                 if |h| >= k,
+        N*(eta) = (h**2 + k**2)/(2k)  otherwise,
 
     and on the second piece the unit maximizer is
-    ``sign(eta_x) * ((1 - m**2)/2, m)``.
+    ``(h/k, (1 - (h/k)**2)/2 * P eta/k)``.
     """
 
     family = "corner"
     convexity_class = "strongly-convex"
+    dim = 2
+    axis = 1
 
-    def __init__(self, dim: int = 2):
-        if dim != 2:
-            raise NormError("corner norm is two-dimensional")
-        self.dim = 2
+    def __init__(self, dim: int | None = None):
+        if dim is not None and dim != self.dim:
+            raise NormError(f"{self.family} norm has dimension {self.dim}")
 
-    def value(self, v):
-        x, y = float(v[0]), float(v[1])
-        return abs(x) + math.hypot(x, y)
-
-    def dual_value(self, eta):
-        a, b = float(eta[0]), float(eta[1])
-        if abs(b) >= abs(a):
-            return abs(b)
-        return (a * a + b * b) / (2.0 * abs(a))
-
-    def regime_id(self, eta):
-        a, b = float(eta[0]), float(eta[1])
-        if abs(b) >= abs(a):
-            return 0 if b >= 0.0 else 1
-        return 2 if a > 0.0 else 3
-
-    def unit_face(self, eta):
-        a, b = float(eta[0]), float(eta[1])
-        if a == 0.0 and b == 0.0:
-            raise NormError("unit maximizer undefined at the zero covector")
-        if abs(b) >= abs(a):
-            return np.array([0.0, math.copysign(1.0, b)])
-        m = b / a
-        sgn = math.copysign(1.0, a)
-        return sgn * np.array([(1.0 - m * m) / 2.0, m])
-
-    def subdiff_energy(self, u):
-        x, y = float(u[0]), float(u[1])
-        member = self._membership(u)
-        if x == 0.0 and y == 0.0:
-            return _point_set(np.zeros(2), membership=member)
-        n = self.value(u)
-        if x != 0.0:
-            r = math.hypot(x, y)
-            grad = np.array([math.copysign(1.0, x) + x / r, y / r])
-            return _point_set(n * grad, membership=member)
-        # Corner ray: all covectors (s, y) with |s| <= |y| support here.
-        return _vertex_hull(np.array([[-abs(y), y], [abs(y), y]]), member)
-
-
-class AxisCornerNorm(Norm):
-    """Rotationally symmetric corner norm on 3-space.
-
-    ``N(x) = sqrt(x2**2 + x3**2) + sqrt(x1**2 + x2**2 + x3**2)``: the
-    restriction to any plane containing the first axis is the planar
-    corner norm, and the corners sweep out the first axis.  With
-    ``h = eta1`` and ``k = sqrt(eta2**2 + eta3**2)``:
-
-        N*(eta) = |h|                 if |h| >= k,
-        N*(eta) = (h**2 + k**2)/(2k)  otherwise.
-    """
-
-    family = "axis_corner"
-    convexity_class = "strongly-convex"
-
-    def __init__(self, dim: int = 3):
-        if dim != 3:
-            raise NormError("axis corner norm is three-dimensional")
-        self.dim = 3
+    def _split(self, eta) -> tuple[float, list[float], float]:
+        """The axis coordinate, the other coordinates and their length."""
+        off = np.asarray(eta, dtype=float).tolist()
+        h = off.pop(self.axis)
+        return h, off, math.hypot(*off)
 
     def value(self, v):
         v = np.asarray(v, dtype=float)
-        return math.hypot(v[1], v[2]) + float(np.linalg.norm(v))
+        return self._split(v)[2] + math.hypot(*v.tolist())
 
     def dual_value(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        h = float(eta[0])
-        k = math.hypot(eta[1], eta[2])
+        h, _, k = self._split(eta)
         if abs(h) >= k:
             return abs(h)
         return (h * h + k * k) / (2.0 * k)
 
     def regime_id(self, eta):
-        h = float(eta[0])
-        k = math.hypot(float(eta[1]), float(eta[2]))
+        h, off, k = self._split(eta)
         if abs(h) >= k:
             return 0 if h >= 0.0 else 1
-        return 2
+        # Off the caps the planar norm has two smooth pieces; rotated,
+        # they join into one.
+        return 2 if len(off) > 1 or off[0] > 0.0 else 3
 
-    def unit_face(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        h = float(eta[0])
-        k = math.hypot(eta[1], eta[2])
-        if h == 0.0 and k == 0.0:
-            raise NormError("unit maximizer undefined at the zero covector")
+    def grad_dual_energy(self, eta):
+        h, off, k = self._split(eta)
         if abs(h) >= k:
-            return np.array([math.copysign(1.0, h), 0.0, 0.0])
-        a = h / k
-        b = (1.0 - a * a) / 2.0
-        return np.array([a, b * eta[1] / k, b * eta[2] / k])
+            out = [0.0] * len(off)
+            out.insert(self.axis, h)
+            return np.array(out)
+        # Dual norm times the unit maximizer.
+        nd = (h * h + k * k) / (2.0 * k)
+        q = h / k
+        c = (1.0 - q * q) / 2.0
+        out = [nd * (c * (x / k)) for x in off]
+        out.insert(self.axis, nd * q)
+        return np.array(out)
 
     def subdiff_energy(self, u):
         u = np.asarray(u, dtype=float)
+        c, off, g = self._split(u)
         member = self._membership(u)
-        g = math.hypot(u[1], u[2])
-        r = float(np.linalg.norm(u))
+        r = math.hypot(*u.tolist())
         if r == 0.0:
-            return _point_set(np.zeros(3), membership=member)
-        n = self.value(u)
+            return _point_set(np.zeros(self.dim), membership=member)
         if g > 0.0:
-            grad = np.array([u[0] / r,
-                             u[1] * (1.0 / g + 1.0 / r),
-                             u[2] * (1.0 / g + 1.0 / r)])
-            return _point_set(n * grad, membership=member)
-        # Corner axis: the subdifferential is a disk orthogonal to it.
-        c = float(u[0])
+            grad = [x / g + x / r for x in off]
+            grad.insert(self.axis, c / r)
+            return _point_set((g + r) * np.array(grad), membership=member)
+        # Corner: the covectors with axis coordinate c and |P eta| <= |c|,
+        # a segment in the plane and a disk in 3-space.
+        if len(off) == 1:
+            ends = np.array([[-abs(c)], [abs(c)]])
+            return _vertex_hull(np.insert(ends, self.axis, c, axis=1), member)
 
         def draw(rng: np.random.Generator, count: int) -> np.ndarray:
             rho = abs(c) * np.sqrt(rng.uniform(size=count))
             phi = rng.uniform(0.0, 2.0 * np.pi, size=count)
-            return np.column_stack([np.full(count, c),
-                                    rho * np.cos(phi), rho * np.sin(phi)])
+            disk = np.column_stack([rho * np.cos(phi), rho * np.sin(phi)])
+            return np.insert(disk, self.axis, c, axis=1)
 
         return ConvexSet(kind="support", membership=member, sampler=draw)
+
+
+class AxisCornerNorm(CornerNorm):
+    """The corner norm rotated about its axis: on 3-space,
+    ``N(x) = sqrt(x2**2 + x3**2) + sqrt(x1**2 + x2**2 + x3**2)``, and the
+    corners sweep out the first axis."""
+
+    family = "axis_corner"
+    dim = 3
+    axis = 0
 
 
 class RootSumNorm(Norm):
@@ -501,13 +451,6 @@ class RootSumNorm(Norm):
         eta = np.asarray(eta, dtype=float)
         s = self._threshold(eta)
         return np.sign(eta) * np.maximum(np.abs(eta) - s, 0.0)
-
-    def unit_face(self, eta):
-        zeta = self.grad_dual_energy(eta)
-        n = self.value(zeta)
-        if n == 0.0:
-            raise NormError("unit maximizer undefined at the zero covector")
-        return zeta / n
 
     def subdiff_energy(self, u):
         u = np.asarray(u, dtype=float)

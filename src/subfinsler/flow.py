@@ -248,7 +248,7 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
             raise IntegrationError("dual point degenerated to zero"
                                    if nd <= DEGENERATE_DUAL_TOL * speed
                                    else "dual point is not finite", t)
-        return nd * norm.unit_face(xi), xi
+        return norm.grad_dual_energy(xi), xi
 
     def velocity(g: np.ndarray, u: np.ndarray) -> np.ndarray:
         return g @ np.einsum("i,iab->ab", u, basis_v)
@@ -542,12 +542,8 @@ def subgroup_trajectory(spec: groups.GroupSpec, norm: convex.Norm,
     speed = norm.value(direction)
     n_steps = whole_steps(t_end, step)
     times = step * np.arange(n_steps + 1)
-    size = spec.matrix_size
-    points = np.empty((n_steps + 1, size, size))
-    hop = groups.exp(spec, step * _embed(direction, spec.dim, pol))
-    points[0] = spec.identity()
-    for i in range(n_steps):
-        points[i + 1] = points[i] @ hop
+    points = groups.exp(spec, np.multiply.outer(
+        times, _embed(direction, spec.dim, pol)))
     duals = groups.coadjoint_dual_point(spec, lam, points, pol)
     return Trajectory(group=spec, norm=norm, polarization=pol, lam=lam,
                       times=times, points=points,

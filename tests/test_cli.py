@@ -1,5 +1,6 @@
 """End-to-end checks of the command line front end."""
 
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import subfinsler
-from subfinsler import convex
+from subfinsler import cli, convex
 from subfinsler.cli import ScenarioError, load_scenario, main
 
 
@@ -154,6 +155,16 @@ def test_faces_outputs(tmp_path):
     dims = sorted(f["dim"] for f in payload["faces"])
     assert dims == [0] * 6 + [1] * 6
     assert payload["covering"]["delta"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_every_subcommand_has_help():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    helps = {choice.dest: choice.help for choice in sub._choices_actions}
+    assert set(helps) == set(cli._COMMANDS)
+    for text in helps.values():
+        assert isinstance(text, str) and text.strip()
 
 
 # -- exit codes ------------------------------------------------------------------

@@ -355,22 +355,22 @@ def test_regime_ids_frozen():
     assert root.regime_id([1.1, 1.0]) == 8
 
 
-def test_unit_face_properties(rng):
+def test_grad_dual_energy_properties(rng):
     for norm in (EuclideanNorm(3), CornerNorm(), AxisCornerNorm(),
                  RootSumNorm(3)):
         for _ in range(15):
             eta = rng.standard_normal(norm.dim)
-            v = norm.unit_face(eta)
-            assert norm.value(v) == pytest.approx(1.0, abs=1e-9)
-            assert float(eta @ v) == pytest.approx(norm.dual_value(eta),
-                                                   abs=1e-9)
+            nd = norm.dual_value(eta)
             grad = norm.grad_dual_energy(eta)
-            assert np.allclose(grad, norm.dual_value(eta) * v, atol=1e-9)
+            assert norm.value(grad) == pytest.approx(nd, abs=1e-9)
+            assert float(eta @ grad) == pytest.approx(nd * nd, abs=1e-9)
+        zero = np.zeros(norm.dim)
+        assert np.array_equal(norm.grad_dual_energy(zero), zero)
 
 
-def test_polyhedral_unit_face_raises():
+def test_polyhedral_grad_dual_energy_raises():
     with pytest.raises(NormError):
-        MaxNorm(2).unit_face([1.0, 0.0])
+        MaxNorm(2).grad_dual_energy([1.0, 0.0])
     with pytest.raises(NormError):
         SumNorm(2).grad_dual_energy([1.0, 0.0])
 

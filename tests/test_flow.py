@@ -84,6 +84,18 @@ def test_rotation_axis_curve_is_subgroup():
                        atol=1e-12)
 
 
+@pytest.mark.parametrize("spec, norm, lam, pol", [
+    (affine_line_group(), CornerNorm(), [0.5, 1.0], None),
+    (rotation_group(), AxisCornerNorm(), [0.3, 1.0, -0.5], None),
+    (heisenberg_group(), RootSumNorm(3), [1.0, 0.8, 0.6], None),
+    (heisenberg_group(), EuclideanNorm(2), [0.25, 0.3, 0.45], (0, 1)),
+], ids=["corner", "axis_corner", "root_sum", "euclidean"])
+def test_smooth_control_is_the_dual_energy_gradient(spec, norm, lam, pol):
+    traj = integrate_smooth(spec, norm, lam, 1.0, 1e-2, polarization=pol)
+    for u, xi in zip(traj.controls, traj.duals):
+        assert np.array_equal(u, norm.grad_dual_energy(xi))
+
+
 def test_smooth_rejects_polyhedral_norm():
     with pytest.raises(FlowError):
         integrate_smooth(translation_group(2), SumNorm(2), [1.0, 0.0],
@@ -613,6 +625,16 @@ def test_subgroup_trajectory_nodes_exact():
     for t, g in zip(traj.times, traj.points):
         ref = group_exp(heis, np.array([t, t, 0.0]))
         assert np.max(np.abs(g - ref)) <= 1e-12
+
+
+def test_subgroup_nodes_are_closed_form_exp():
+    # The nodes used to be products of one hop, which drift from the
+    # closed form along a long affine subgroup.
+    aff = affine_line_group()
+    traj = subgroup_trajectory(aff, CornerNorm(), [0.5, 1.0], [0.0, 1.0],
+                               2.2, 1e-3)
+    for t, g in zip(traj.times, traj.points):
+        assert np.array_equal(g, group_exp(aff, np.array([0.0, t])))
 
 
 WHOLE_STEP_RUNS = {
