@@ -14,9 +14,9 @@ Subpackages by task:
 * :mod:`subfinsler.polyhedra` -- polytope unit balls: face lattices,
   exposed faces, star coverings of the dual sphere.
 * :mod:`subfinsler.groups` -- matrix group charts, exponentials, the
-  adjoint and coadjoint actions, submetries and pushforward norms.
+  adjoint and coadjoint actions, and the differential of a submetry.
 * :mod:`subfinsler.flow` -- the two normal-curve integrators, face
-  events, branching detection, curve lifting.
+  events, branching detection.
 * :mod:`subfinsler.certify` -- adjoint bracket bounds, windowed face
   stability certificates, the abelianized minimality check, and the
   explicit vertical shortcut.
@@ -66,8 +66,6 @@ from .groups import (
     heisenberg_abelianization,
     heisenberg_group,
     matrix_group,
-    min_norm_preimage,
-    pushforward_norm,
     rotation_group,
     to_matrix,
     translation_group,
@@ -87,7 +85,6 @@ from .flow import (
     integrate,
     integrate_polyhedral,
     integrate_smooth,
-    lift_curve,
     read_trajectory_csv,
     subgroup_trajectory,
     write_trajectory_csv,

@@ -266,7 +266,8 @@ def finsler_short_bound(delta: float, bracket: float, rate: float) -> float:
     return float(lambertw(delta * rate / bracket).real) / rate
 
 
-def abelianized_minimality(sub: groups.SubmetryData, traj: flow.Trajectory
+def abelianized_minimality(sub: groups.SubmetryData, traj: flow.Trajectory,
+                           window: float | None = None
                            ) -> StabilityCertificate:
     """Windowed face check for the projected curve in the abelianization.
 
@@ -280,7 +281,8 @@ def abelianized_minimality(sub: groups.SubmetryData, traj: flow.Trajectory
     stay within a common face on every window of length
     ``delta / (N*(lam) * M)``, which makes the projected curve, and
     hence the curve itself, minimizing on such windows.  The certificate
-    reports the projected covector.
+    reports the projected covector.  An explicit ``window`` overrides
+    the derived one, as in :func:`certify_trajectory`.
     """
     if traj.group.name != sub.source.name:
         raise ValueError(f"the curve runs on {traj.group.name!r}, not on "
@@ -291,7 +293,7 @@ def abelianized_minimality(sub: groups.SubmetryData, traj: flow.Trajectory
         raise ValueError("the differential of the submetry is not "
                          "invertible on the polarization")
     return _certificate("abelianized-minimality", traj, 1.0,
-                        dpi_v @ traj.lam[list(traj.polarization)])
+                        dpi_v @ traj.lam[list(traj.polarization)], window)
 
 
 # ---------------------------------------------------------------------------

@@ -206,15 +206,17 @@ def _polytope_ball(norm: convex.Norm) -> Polyhedron:
         raise ScenarioError(str(exc)) from exc
 
 
-def _covector(cfg: ScenarioConfig, spec: groups.GroupSpec,
-              values: list[float] | None) -> np.ndarray:
+def _curve(cfg: ScenarioConfig, spec: groups.GroupSpec, norm: convex.Norm,
+           values: list[float] | None) -> flow.Trajectory:
+    """The scenario's normal curve for the covector ``values``."""
     if values is None:
         raise ScenarioError("scenario does not define the needed covector")
     lam = np.asarray(values, dtype=float)
     if lam.shape != (spec.dim,):
         raise ScenarioError(
             f"covector needs {spec.dim} coordinates, got {lam.shape}")
-    return lam
+    return flow.integrate(spec, norm, lam, cfg.t_end, cfg.step,
+                          polarization=cfg.pol(spec), rule=cfg.rule)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +227,7 @@ def _cmd_integrate(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
     """One normal curve -> trajectory CSV + metadata JSON."""
     spec = cfg.build_group()
     norm = cfg.build_norm_on(spec)
-    traj = flow.integrate(spec, norm, _covector(cfg, spec, cfg.covector),
-                          cfg.t_end, cfg.step, polarization=cfg.pol(spec),
-                          rule=cfg.rule)
+    traj = _curve(cfg, spec, norm, cfg.covector)
     flow.write_trajectory_csv(traj, out / f"{cfg.name}_trajectory.csv")
     meta = traj.meta_dict()
     meta["speed_check"] = flow.check_constant_speed(traj)
@@ -242,14 +242,12 @@ def _cmd_branch(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
     """Two curves (or curve vs subgroup) -> branch report."""
     spec = cfg.build_group()
     norm = cfg.build_norm_on(spec)
-    first = flow.integrate(spec, norm, _covector(cfg, spec, cfg.covector),
-                           cfg.t_end, cfg.step, polarization=cfg.pol(spec),
-                           rule=cfg.rule)
+    if cfg.covector_b is not None and cfg.reference_direction is not None:
+        raise ScenarioError("branch takes covector_b or "
+                            "reference_direction, not both")
+    first = _curve(cfg, spec, norm, cfg.covector)
     if cfg.covector_b is not None:
-        second = flow.integrate(spec, norm,
-                                _covector(cfg, spec, cfg.covector_b),
-                                cfg.t_end, cfg.step,
-                                polarization=cfg.pol(spec), rule=cfg.rule)
+        second = _curve(cfg, spec, norm, cfg.covector_b)
     elif cfg.reference_direction is not None:
         second = flow.subgroup_trajectory(
             spec, norm, first.lam,
@@ -278,13 +276,11 @@ def _cmd_certify(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
     if cfg.abelianized and spec.name != "heisenberg":
         raise ScenarioError("abelianized check is defined for the "
                             "heisenberg scenarios")
-    traj = flow.integrate(spec, norm, _covector(cfg, spec, cfg.covector),
-                          cfg.t_end, cfg.step, polarization=cfg.pol(spec),
-                          rule=cfg.rule)
+    traj = _curve(cfg, spec, norm, cfg.covector)
     if cfg.abelianized:
         try:
             cert = certify.abelianized_minimality(
-                groups.heisenberg_abelianization(), traj)
+                groups.heisenberg_abelianization(), traj, window=cfg.window)
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
     else:

@@ -57,6 +57,8 @@ AGREE_TOL = 1e-6
 SPLIT_TOL = 1e-3
 # Allowed drift of the speed and dual norm, in grid steps.
 SPEED_SLACK_FACTOR = 10.0
+# Face events a polyhedral run may record before FaceThrashError.
+MAX_SWITCHES = 1000
 
 
 class FlowError(RuntimeError):
@@ -330,8 +332,8 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
                          lam: np.ndarray, t_end: float, step: float,
                          polarization: tuple[int, ...] | None = None,
                          rule: str = "persistent",
-                         start_control: np.ndarray | None = None,
-                         max_switches: int = 1000) -> Trajectory:
+                         start_control: np.ndarray | None = None
+                         ) -> Trajectory:
     """Integrate the normal flow of a polytope velocity ball.
 
     Between face events the control ``u`` is constant, so the curve is
@@ -492,7 +494,7 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
                                               face)
             if new_face.fid != face.fid:
                 events.append(FaceEvent(t_next, face.fid, new_face.fid))
-                if len(events) > max_switches:
+                if len(events) > MAX_SWITCHES:
                     raise FaceThrashError(events)
             elif t_next == t_seg:
                 # Rounding stalled the arc: the same state would repeat.
@@ -603,46 +605,6 @@ def check_constant_speed(traj: Trajectory) -> dict:
         "allowed": float(allowed),
         "ok": bool(control_dev <= allowed and dual_dev <= allowed),
     }
-
-
-# ---------------------------------------------------------------------------
-# Curve lifting through a submetry
-
-
-def lift_curve(sub: groups.SubmetryData, traj: Trajectory,
-               norm: convex.Norm) -> Trajectory:
-    """Lift a trajectory from the target of a submetry to its source.
-
-    Each distinct control is lifted once, to its least-norm admissible
-    preimage, so the lift is horizontal, projects back onto the input
-    curve, and has the same pointwise speed; the normal covector is the
-    input covector composed with the differential.
-    """
-    spec = sub.source
-    pol = spec.polarization
-    lam = sub.lift_covector(traj.lam)
-    n = len(traj.times)
-    size = spec.matrix_size
-    points = np.empty((n, size, size))
-    distinct, which = np.unique(traj.controls, axis=0, return_inverse=True)
-    controls = np.array([groups.min_norm_preimage(sub, norm, u)
-                         for u in distinct])[which.reshape(-1)]
-    hops = groups.exp(spec, np.diff(traj.times)[:, None]
-                      * _embed(controls[:-1], spec.dim, pol))
-    points[0] = spec.identity()
-    for i in range(n - 1):
-        points[i + 1] = points[i] @ hops[i]
-    duals = groups.coadjoint_dual_point(spec, lam, points, pol)
-    if norm.convexity_class == "polyhedral":
-        poly = convex.as_polyhedron(norm)
-        face_ids = np.array([poly.face_of(xi).fid for xi in duals])
-    else:
-        face_ids = np.full(n, -1)
-    speed = norm.value(controls[0])
-    return Trajectory(group=spec, norm=norm, polarization=pol, lam=lam,
-                      times=traj.times.copy(), points=points,
-                      controls=controls, duals=duals, face_ids=face_ids,
-                      speed=speed, events=[], rule="lift", step=traj.step)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,8 @@ along normal curves.  :func:`exp`, :func:`adjoint_matrix` and
 arc of grid nodes is one call.
 
 :class:`SubmetryData` describes a surjective homomorphism onto a lower
-dimensional group whose differential maps the velocity ball onto the
-target ball; :func:`pushforward_norm` computes that image norm exactly:
-a polytope's image, or the euclidean norm under an orthonormal
-differential, and :class:`~subfinsler.convex.NormError` otherwise.
+dimensional group by its differential at the identity.  No norm is
+computed here.
 """
 
 from __future__ import annotations
@@ -29,10 +27,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import linprog
-
-from . import convex
-from .polyhedra import Polyhedron
 
 # Brackets of basis elements must land in the basis span this tightly.
 CLOSURE_TOL = 1e-9
@@ -401,14 +395,11 @@ class SubmetryData:
     Attributes:
         source, target: Group specs.
         dpi: Differential at the identity, target coords x source coords.
-        group_map: Chart-level homomorphism, source matrix to target
-            matrix; optional (only needed to project curves).
     """
 
     source: GroupSpec
     target: GroupSpec
     dpi: np.ndarray
-    group_map: Callable[[np.ndarray], np.ndarray] | None = None
 
     def dpi_on_polarization(self, polarization: tuple[int, ...] | None = None
                             ) -> np.ndarray:
@@ -416,77 +407,10 @@ class SubmetryData:
                else tuple(polarization))
         return self.dpi[:, list(pol)]
 
-    def lift_covector(self, lam_target: np.ndarray) -> np.ndarray:
-        """Compose a target covector with dpi: the normal data of lifts."""
-        return self.dpi.T @ np.asarray(lam_target, dtype=float)
-
 
 def heisenberg_abelianization() -> SubmetryData:
     """Quotient of the Heisenberg group by its center, onto the plane."""
     source = heisenberg_group()
     target = translation_group(2)
     dpi = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-
-    def group_map(g: np.ndarray) -> np.ndarray:
-        out = np.eye(3)
-        out[0, 2], out[1, 2] = g[0, 1], g[1, 2]
-        return out
-
-    return SubmetryData(source=source, target=target, dpi=dpi,
-                        group_map=group_map)
-
-
-def min_norm_preimage(sub: SubmetryData, norm: convex.Norm, w: np.ndarray,
-                      polarization: tuple[int, ...] | None = None
-                      ) -> np.ndarray:
-    """Least-norm admissible velocity mapping to ``w`` under dpi.
-
-    An exact linear program for polyhedral norms.  For a euclidean norm,
-    or a fiber of one point, the least-squares solution is the answer;
-    smooth norms with a nontrivial fiber raise :class:`NormError`.
-    """
-    dpi_v = sub.dpi_on_polarization(polarization)
-    w = np.asarray(w, dtype=float)
-    dv = dpi_v.shape[1]
-    if norm.convexity_class == "polyhedral":
-        lams = convex.as_polyhedron(norm).functionals
-        cost = np.zeros(dv + 1)
-        cost[-1] = 1.0
-        a_ub = np.hstack([lams, -np.ones((lams.shape[0], 1))])
-        a_eq = np.hstack([dpi_v, np.zeros((dpi_v.shape[0], 1))])
-        res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(lams.shape[0]),
-                      A_eq=a_eq, b_eq=w,
-                      bounds=[(None, None)] * (dv + 1), method="highs")
-        if not res.success:
-            raise GroupChartError(f"fiber LP failed: {res.message}")
-        return res.x[:dv]
-    if (norm.family != "euclidean"
-            and np.linalg.matrix_rank(dpi_v, tol=1e-12) < dv):
-        raise convex.NormError(f"no exact least-norm preimage for the "
-                               f"{norm.family} norm on a nontrivial fiber")
-    return np.linalg.lstsq(dpi_v, w, rcond=None)[0]
-
-
-def pushforward_norm(sub: SubmetryData, norm: convex.Norm,
-                     polarization: tuple[int, ...] | None = None
-                     ) -> convex.Norm:
-    """Image of an admissible-velocity norm under dpi.
-
-    The unit ball of the image norm is the dpi-image of the source
-    ball.  Only exact images are returned: a polytope's image, or the
-    euclidean norm when dpi has orthonormal rows; any other norm raises
-    :class:`NormError`.
-    """
-    dpi_v = sub.dpi_on_polarization(polarization)
-    if np.linalg.matrix_rank(dpi_v, tol=1e-12) < dpi_v.shape[0]:
-        raise GroupChartError("differential does not cover the target")
-    if norm.convexity_class == "polyhedral":
-        ball = convex.as_polyhedron(norm)
-        image = ball.vertices @ dpi_v.T
-        return convex.PolyhedralNorm(Polyhedron.from_vertices(image))
-    if (norm.family == "euclidean"
-            and np.allclose(dpi_v @ dpi_v.T, np.eye(dpi_v.shape[0]),
-                            atol=1e-12)):
-        return convex.EuclideanNorm(dpi_v.shape[0])
-    raise convex.NormError(f"the image of the {norm.family} norm has no "
-                           f"exact form")
+    return SubmetryData(source=source, target=target, dpi=dpi)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,27 @@ def test_certify_abelianized_variant(tmp_path):
     assert cert["kind"] == "abelianized-minimality"
     assert cert["verdict"] is True
     assert cert["window"] == pytest.approx(0.625, abs=1e-9)
+
+
+def test_certify_window_overrides_both_checks(tmp_path):
+    # An explicit window replaces the derived one in the abelianized
+    # check as in the plain one, so both find the same violations.
+    base = asdict(load_scenario("heisenberg_carnot"))
+    certs = {}
+    for abelianized in (True, False):
+        src = tmp_path / f"{abelianized}.json"
+        src.write_text(json.dumps({**base, "window": 5.0,
+                                   "abelianized": abelianized}))
+        out = tmp_path / f"out_{abelianized}"
+        assert run("certify", "--config", src, "--out", out, "--quiet") == 3
+        certs[abelianized] = read_json(
+            out / "heisenberg_carnot_certificate.json")
+    cert, plain = certs[True], certs[False]
+    assert cert["kind"] == "abelianized-minimality"
+    assert cert["window"] == plain["window"] == 5.0
+    assert cert["verdict"] is False
+    assert len(plain["violations"]) == 2
+    assert cert["violations"] == plain["violations"]
 
 
 def test_shortcut_outputs(tmp_path):
@@ -396,6 +418,9 @@ BAD_VALUES = {
                                 []),
     "null_reference_direction_entry": (
         "branch", {"reference_direction": [1.0, None]}, []),
+    "covector_b_and_reference_direction": (
+        "branch", {"covector_b": [0.3, -0.5, 0.8],
+                   "reference_direction": [1.0, 0.0]}, []),
     "polarization_out_of_range": ("integrate", {"polarization": [0, 7]}, []),
     "repeated_polarization": ("integrate", {"polarization": [0, 0]}, []),
     "unknown_rule": ("integrate", {"rule": "sideways"}, []),

@@ -1,4 +1,4 @@
-"""Normal-flow integrators, branch detection, lifting, serialization."""
+"""Normal-flow integrators, branch detection, serialization."""
 
 import math
 
@@ -24,11 +24,9 @@ from subfinsler import (
     detect_branching,
     coadjoint_dual_point,
     dual_derivative,
-    heisenberg_abelianization,
     heisenberg_group,
     integrate_polyhedral,
     integrate_smooth,
-    lift_curve,
     read_trajectory_csv,
     rotation_group,
     subgroup_trajectory,
@@ -221,11 +219,11 @@ def test_start_control_validation():
                              start_control=2 * speed * np.array([1.0, 1, 1]))
 
 
-def test_face_thrash_guard():
+def test_face_thrash_guard(monkeypatch):
     heis = heisenberg_group()
+    monkeypatch.setattr(flow, "MAX_SWITCHES", 0)
     with pytest.raises(FaceThrashError) as info:
-        integrate_polyhedral(heis, MaxNorm(3), [0.3, 0.5, 0.8], 1.0, 1e-2,
-                             max_switches=0)
+        integrate_polyhedral(heis, MaxNorm(3), [0.3, 0.5, 0.8], 1.0, 1e-2)
     assert len(info.value.events) == 1
 
 
@@ -551,49 +549,6 @@ def test_check_constant_speed_flags_drift():
     spoiled = check_constant_speed(traj)
     assert not spoiled["ok"]
     assert spoiled["control_deviation"] >= 0.4
-
-
-# -- lifting through the abelianization ---------------------------------------
-
-
-def test_lift_curve_projects_back():
-    sub = heisenberg_abelianization()
-    plane = sub.target
-    traj = integrate_polyhedral(plane, MaxNorm(2), [1.0, 0.25], 1.0, 1e-2)
-    lifted = lift_curve(sub, traj, MaxNorm(3))
-    assert np.array_equal(lifted.lam, [1.0, 0.25, 0.0])
-    assert lifted.speed == pytest.approx(traj.speed, abs=1e-9)
-    for g_src, g_tgt in zip(lifted.points, traj.points):
-        assert np.max(np.abs(sub.group_map(g_src) - g_tgt)) <= 1e-9
-    for u in lifted.controls:
-        assert MaxNorm(3).value(u) == pytest.approx(traj.speed, abs=1e-9)
-
-
-def test_lift_curve_solves_one_fiber_lp_per_distinct_control(monkeypatch):
-    # Controls repeat between face events, so the lift solves one fiber
-    # LP per distinct control, and the result is the nodewise lift.
-    sub = heisenberg_abelianization()
-    traj = integrate_polyhedral(sub.target, MaxNorm(2), [1.0, 0.25],
-                                1.0, 1e-2)
-    switched = traj.controls.copy()
-    switched[60:] = [-1.0, 1.0]
-    calls = []
-    real = groups.linprog
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    for controls, distinct in ((traj.controls, 1), (switched, 2)):
-        traj.controls = controls
-        nodewise = np.array([groups.min_norm_preimage(sub, MaxNorm(3), u)
-                             for u in controls])
-        calls.clear()
-        monkeypatch.setattr(groups, "linprog", counting)
-        lifted = lift_curve(sub, traj, MaxNorm(3))
-        monkeypatch.setattr(groups, "linprog", real)
-        assert len(calls) == distinct
-        assert np.array_equal(lifted.controls, nodewise)
 
 
 # -- CSV round trip ------------------------------------------------------------

@@ -9,12 +9,7 @@ from scipy.linalg import expm
 
 from subfinsler import (
     AxisCornerNorm,
-    EuclideanNorm,
     GroupChartError,
-    MaxNorm,
-    NormError,
-    RootSumNorm,
-    SumNorm,
     adjoint_matrix,
     affine_line_group,
     bracket,
@@ -24,8 +19,6 @@ from subfinsler import (
     heisenberg_abelianization,
     heisenberg_group,
     matrix_group,
-    min_norm_preimage,
-    pushforward_norm,
     rotation_group,
     translation_group,
     variety_residual,
@@ -334,71 +327,4 @@ def test_ad_matrix_definition(any_group, rng):
 def test_abelianization_shapes():
     sub = heisenberg_abelianization()
     assert sub.dpi.shape == (2, 3)
-    assert np.array_equal(sub.lift_covector([1.0, 0.25]), [1.0, 0.25, 0.0])
     assert np.array_equal(sub.dpi_on_polarization((0, 1)), np.eye(2))
-    g = group_exp(sub.source, np.array([0.5, -0.2, 0.9]))
-    proj = sub.group_map(g)
-    assert proj[0, 2] == g[0, 1]
-    assert proj[1, 2] == g[1, 2]
-
-
-def test_min_norm_preimage_polyhedral():
-    sub = heisenberg_abelianization()
-    u = min_norm_preimage(sub, MaxNorm(3), np.array([1.0, 0.0]))
-    assert u[0] == pytest.approx(1.0, abs=1e-9)
-    assert u[1] == pytest.approx(0.0, abs=1e-9)
-    assert MaxNorm(3).value(u) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_min_norm_preimage_euclidean(rng):
-    sub = heisenberg_abelianization()
-    for _ in range(5):
-        w = rng.standard_normal(2)
-        u = min_norm_preimage(sub, EuclideanNorm(3), w)
-        assert np.allclose(u[:2], w, atol=1e-9)
-        # The fiber coordinate drops out at the euclidean minimum.
-        assert abs(u[2]) <= 1e-12
-
-
-def test_pushforward_cube_is_square(rng):
-    sub = heisenberg_abelianization()
-    pushed = pushforward_norm(sub, MaxNorm(3))
-    assert pushed.convexity_class == "polyhedral"
-    assert pushed.value([1.0, 1.0]) == pytest.approx(1.0, abs=1e-12)
-    source = MaxNorm(3)
-    for _ in range(10):
-        mu = rng.standard_normal(2)
-        lifted = sub.dpi.T @ mu
-        assert pushed.dual_value(mu) == pytest.approx(
-            source.dual_value(lifted), abs=1e-9)
-
-
-def test_pushforward_euclidean_is_euclidean():
-    sub = heisenberg_abelianization()
-    pushed = pushforward_norm(sub, EuclideanNorm(3))
-    assert pushed.family == "euclidean"
-    assert pushed.dim == 2
-
-
-def test_pushforward_smooth_norm_raises():
-    # The image of root_sum has no closed form, and no search stands in.
-    sub = heisenberg_abelianization()
-    with pytest.raises(NormError):
-        pushforward_norm(sub, RootSumNorm(3))
-
-
-def test_min_norm_preimage_smooth_fiber_raises():
-    sub = heisenberg_abelianization()
-    with pytest.raises(NormError):
-        min_norm_preimage(sub, RootSumNorm(3), np.array([1.0, 0.0]))
-
-
-def test_preimage_norms_match_sum_norm_fiber(rng):
-    # For the sum norm the least-norm preimage of w never uses the
-    # central coordinate, so its value equals the planar sum norm.
-    sub = heisenberg_abelianization()
-    for _ in range(5):
-        w = rng.standard_normal(2)
-        u = min_norm_preimage(sub, SumNorm(3), w)
-        assert SumNorm(3).value(u) == pytest.approx(SumNorm(2).value(w),
-                                                    abs=1e-9)
