@@ -38,7 +38,6 @@ from .convex import (
     check_duality_inversion,
     dual_energy,
     energy,
-    make_norm,
     norm_from_json,
 )
 from .polyhedra import (

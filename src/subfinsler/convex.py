@@ -477,18 +477,16 @@ _FAMILIES = {
 }
 
 
-def make_norm(family: str, dim: int, **params) -> Norm:
-    """Instantiate a norm family by name."""
+def norm_from_json(data: dict) -> Norm:
+    """Instantiate a norm from ``{"family", "dim", "params"}``."""
+    family, dim = data["family"], int(data["dim"])
+    # Unpacking rejects a params value that is not a mapping.
+    params = dict(**data.get("params", {}))
     try:
         builder = _FAMILIES[family]
     except KeyError:
         raise NormError(f"unknown norm family {family!r}") from None
     return builder(dim, params)
-
-
-def norm_from_json(data: dict) -> Norm:
-    return make_norm(data["family"], int(data["dim"]),
-                     **data.get("params", {}))
 
 
 def energy(norm: Norm, v: Vector) -> float:

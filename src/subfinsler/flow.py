@@ -15,7 +15,8 @@ dual gradients by a fourth-order Runge-Kutta step on the chart matrix,
 recording crossings between smooth regimes of the dual energy.
 :func:`integrate_polyhedral` handles polytope balls by exact subgroup
 arcs: between face events the maximizing control is constant, so the
-grid nodes of an arc are one stacked closed-form evaluation, and each
+grid nodes of an arc are one stacked closed-form evaluation (:func:`arc`,
+which also gives :func:`subgroup_trajectory` its nodes), and each
 face switch is the root of a gap between vertex supports, solved to
 rounding.  The face after a switch is read off the dual point's
 velocity, so an instant pass through a lower face is one event.  Faces
@@ -25,10 +26,11 @@ dual point moves in straight lines there).  Where the exposed face is
 set-valued a selection rule picks the control; several rules are
 provided because normal data does not determine the control there.
 
-Neither integrator returns a curve with a non-finite node: a speed,
-dual point, dual point velocity or chart point that overflows raises
-:class:`IntegrationError`, and so does a face switch that ``brentq``
-cannot solve or that advances neither time nor face.
+No curve has a non-finite node: a :class:`Trajectory` rejects a chart
+point that overflowed, the integrators reject a speed, dual point or
+dual point velocity that did, and all raise :class:`IntegrationError`,
+as does a face switch that ``brentq`` cannot solve or that advances
+neither time nor face.
 """
 
 from __future__ import annotations
@@ -118,6 +120,13 @@ class Trajectory:
     rule: str = "smooth"
     step: float = 0.0
 
+    def __post_init__(self) -> None:
+        """Raise at the first chart point that overflowed, if any."""
+        bad = ~np.isfinite(self.points).all(axis=(1, 2))
+        if bad.any():
+            raise IntegrationError("chart point is not finite",
+                                   float(self.times[np.argmax(bad)]))
+
     def meta_dict(self) -> dict:
         return {
             "group": self.group.name,
@@ -198,12 +207,20 @@ def _curve_speed(speed: float) -> float:
     return speed
 
 
-def _check_finite(points: np.ndarray, times: np.ndarray) -> None:
-    """Raise at the first chart point that overflowed, if any."""
-    bad = ~np.isfinite(points).all(axis=(1, 2))
-    if bad.any():
-        raise IntegrationError("chart point is not finite",
-                               float(times[np.argmax(bad)]))
+def arc(spec: groups.GroupSpec, lam: np.ndarray, u_v: np.ndarray, s,
+        polarization: tuple[int, ...], g: np.ndarray | None = None
+        ) -> tuple[np.ndarray, np.ndarray]:
+    """Chart and dual points of ``g exp(s u)`` at the offsets ``s``.
+
+    The one-parameter subgroup arc of the constant control ``u_v``, in
+    one stacked evaluation.  With no ``g`` the arc starts at the
+    identity and its chart points are exactly ``exp(s u)``.
+    """
+    pts = groups.exp(spec, np.multiply.outer(
+        s, _embed(u_v, spec.dim, polarization)))
+    if g is not None:
+        pts = g @ pts
+    return pts, groups.coadjoint_dual_point(spec, lam, pts, polarization)
 
 
 def whole_steps(t_end: float, step: float) -> int:
@@ -300,7 +317,6 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
         regime = new_regime
         points[i + 1] = g_next
 
-    _check_finite(points, times)
     return Trajectory(group=spec, norm=norm, polarization=pol, lam=lam,
                       times=times, points=points, controls=controls,
                       duals=duals, face_ids=np.full(n_steps + 1, -1),
@@ -331,9 +347,7 @@ def _select_control(poly: Polyhedron, face, speed: float, rule: str
 def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
                          lam: np.ndarray, t_end: float, step: float,
                          polarization: tuple[int, ...] | None = None,
-                         rule: str = "persistent",
-                         start_control: np.ndarray | None = None
-                         ) -> Trajectory:
+                         rule: str = "persistent") -> Trajectory:
     """Integrate the normal flow of a polytope velocity ball.
 
     Between face events the control ``u`` is constant, so the curve is
@@ -351,13 +365,8 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
     the current control) exposes, reselecting the control until face
     and control agree; so an instant pass through a lower face (vertex,
     edge, vertex) is one event, and event times increase strictly.  A
-    start face that splits at once gives an event at t = 0.
-
-    ``start_control``, if given, must maximize at t = 0; under the
-    persistent rule it is kept while the whole start face survives.  If
-    the start face splits at once, the control is reselected on the
-    face entered there, and ``controls[0]`` holds that control, the one
-    the curve leaves with; the event at t = 0 records the switch.
+    start face that splits at once gives an event at t = 0, and
+    ``controls[0]`` holds the control the curve leaves with.
 
     Faces are still compared only at grid nodes: a visit that starts
     and ends within one step, or a tangential touch, is not seen.  On
@@ -370,13 +379,6 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
     pol = spec.polarization if polarization is None else tuple(polarization)
     lam = np.asarray(lam, dtype=float)
     speed = _curve_speed(poly.dual_value(_restrict(lam, pol)))
-
-    def arc(g: np.ndarray, u_v: np.ndarray, s) -> tuple[np.ndarray,
-                                                         np.ndarray]:
-        """Chart and dual points at offsets ``s`` along the arc from ``g``."""
-        coords = np.multiply.outer(s, _embed(u_v, spec.dim, pol))
-        pts = g @ groups.exp(spec, coords)
-        return pts, groups.coadjoint_dual_point(spec, lam, pts, pol)
 
     def face_after(touch, t: float, g: np.ndarray, u: np.ndarray,
                    support: frozenset[int], chosen):
@@ -413,17 +415,7 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
     g = spec.identity()
     xi = groups.coadjoint_dual_point(spec, lam, g, pol)
     touch = poly.face_of(xi)
-    if start_control is not None:
-        u = np.asarray(start_control, dtype=float)
-        slack = 1e-9 * max(1.0, speed * speed)
-        if (abs(poly.value(u) - speed) > slack
-                or abs(float(xi @ u) - speed * speed) > slack):
-            raise FlowError("start control is not a maximizer at t=0")
-        # Conservative support: admissible only while the whole start
-        # face survives.
-        support = touch.vertex_set
-    else:
-        u, support = _select_control(poly, touch, speed, rule)
+    u, support = _select_control(poly, touch, speed, rule)
     face, u, support = face_after(touch, 0.0, g, u, support, touch)
     events: list[FaceEvent] = []
     if face.fid != touch.fid:
@@ -453,7 +445,7 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
         while k <= n_steps:
             stop = min(k + span, n_steps + 1)
             s = times[k:stop] - t_seg
-            pts, xis = arc(g, u, s)
+            pts, xis = arc(spec, lam, u, s, pol, g)
             h = gap(xis)
             if not np.isfinite(h).all():
                 raise IntegrationError("dual point overflows", times[k])
@@ -472,7 +464,8 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
                     for end_s, end_h in (lo, hi):
                         if s_probe == end_s:
                             return end_h
-                    return float(gap(arc(g, u, s_probe)[1]))
+                    return float(gap(arc(spec, lam, u, s_probe, pol,
+                                         g)[1]))
 
                 try:
                     root = brentq(gap_at, lo[0], hi[0], xtol=_ROOT_XTOL,
@@ -487,7 +480,7 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
             if not len(hits):
                 span *= 2
                 continue
-            g, xi = arc(g, u, root)
+            g, xi = arc(spec, lam, u, root, pol, g)
             t_next = t_seg + root
             touch = poly.face_of(xi)
             new_face, u, support = face_after(touch, t_next, g, u, support,
@@ -504,7 +497,6 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
             span = max(k - first, 1)
             break
 
-    _check_finite(points, times)
     return Trajectory(group=spec, norm=norm, polarization=pol, lam=lam,
                       times=times, points=points, controls=controls,
                       duals=duals, face_ids=face_ids, speed=speed,
@@ -535,8 +527,9 @@ def subgroup_trajectory(spec: groups.GroupSpec, norm: convex.Norm,
                         ) -> Trajectory:
     """The one-parameter subgroup of a fixed admissible velocity.
 
-    Exact reference trajectory: node k sits at exp(t_k * direction).
-    ``lam`` is only carried along to fill in the dual points.
+    Exact reference trajectory: node k sits at exp(t_k * direction),
+    the :func:`arc` of ``direction`` from the identity.  ``lam`` is only
+    carried along to fill in the dual points.
     """
     pol = spec.polarization if polarization is None else tuple(polarization)
     lam = np.asarray(lam, dtype=float)
@@ -544,9 +537,7 @@ def subgroup_trajectory(spec: groups.GroupSpec, norm: convex.Norm,
     speed = norm.value(direction)
     n_steps = whole_steps(t_end, step)
     times = step * np.arange(n_steps + 1)
-    points = groups.exp(spec, np.multiply.outer(
-        times, _embed(direction, spec.dim, pol)))
-    duals = groups.coadjoint_dual_point(spec, lam, points, pol)
+    points, duals = arc(spec, lam, direction, times, pol)
     return Trajectory(group=spec, norm=norm, polarization=pol, lam=lam,
                       times=times, points=points,
                       controls=np.tile(direction, (n_steps + 1, 1)),

@@ -138,8 +138,11 @@ class Polyhedron:
             raise PolyhedronError("vertex/functional dimension mismatch")
         for name, rows in (("vertex", self.vertices),
                            ("functional", self.functionals)):
+            # Relative to each row's size: a large row's negation is
+            # exact only to the rounding of its own entries.
             gaps = np.abs(rows[:, None, :] + rows[None, :, :]).max(axis=2)
-            if np.any(gaps.min(axis=1) > 1e-9):
+            scale = np.maximum(1.0, np.abs(rows).max(axis=1))
+            if np.any(gaps.min(axis=1) > 1e-9 * scale):
                 raise PolyhedronError(f"{name} set is not symmetric about 0")
         vals = self.functionals @ self.vertices.T
         if np.any(np.abs(vals.max(axis=0) - 1.0) > 1e-9):

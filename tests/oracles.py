@@ -9,16 +9,16 @@ explicit matrix conjugation resolved by least squares.  The adjoint
 bracket bound is sampled over group points reached through the curve's
 own ball.  The sum and
 max norm subdifferentials have closed forms, spelled out coordinate by
-coordinate.  The star-covering bound is one linear program per disjoint
-pair of dual faces, with no pruning, and the maximal disjoint pairs come
-from a scan over all pairs of pairs.  Heisenberg face switches on a
-polygon ball come from the isoperimetrix closed form, and dual points
-from explicit conjugation.
+coordinate.  The maximal disjoint pairs of dual faces come from a scan
+over all pairs of pairs, and dual points from explicit conjugation.
+
+The exhaustive star-covering bound and the isoperimetrix switch times
+are shared with the benchmark's checks: the tests import them from
+``bench/reference.py``.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import combinations, product
 
 import numpy as np
@@ -151,57 +151,6 @@ def window_violation_starts(lattice: set[frozenset[int]], segments,
     starts = crit + [0.5 * (a + b) for a, b in zip(crit, crit[1:])]
     return [a for a in starts if not faces_share_a_closed_face(
         lattice, window_vertex_sets(segments, a, span))]
-
-
-def _dual_faces(vertices: np.ndarray, functionals: np.ndarray
-                ) -> list[frozenset[int]]:
-    """Proper faces of conv(functionals), as functional-index sets.
-
-    Each primal vertex ``v`` exposes the dual facet of the functionals
-    with ``v . f >= 1``; the faces are all nonempty intersections of
-    those facets.
-    """
-    incidence = vertices @ functionals.T >= 1.0 - 1e-9
-    facets = {frozenset(np.nonzero(row)[0].tolist()) for row in incidence}
-    faces = set(facets)
-    grown = True
-    while grown:
-        meets = {a & b for a in faces for b in facets} - {frozenset()}
-        grown = not meets <= faces
-        faces |= meets
-    return sorted(faces, key=lambda s: (len(s), sorted(s)))
-
-
-def exhaustive_delta(vertices, functionals) -> float:
-    """Least distance between disjoint closed faces of the dual sphere.
-
-    The dual ball is conv(functionals) and its gauge is ``max_k v_k . z``
-    over the primal vertices.  For every disjoint pair of dual faces one
-    LP minimizes that gauge of ``x - y`` over ``x`` and ``y`` in the two
-    faces.
-    """
-    v = np.asarray(vertices, dtype=float)
-    f = np.asarray(functionals, dtype=float)
-    best = np.inf
-    for fa, fb in combinations(_dual_faces(v, f), 2):
-        if fa & fb:
-            continue
-        pa, pb = f[sorted(fa)], f[sorted(fb)]
-        na, nb = len(pa), len(pb)
-        # variables: weights on pa, weights on pb, level t
-        a_ub = np.hstack([v @ pa.T, -(v @ pb.T), -np.ones((len(v), 1))])
-        a_eq = np.zeros((2, na + nb + 1))
-        a_eq[0, :na] = 1.0
-        a_eq[1, na:na + nb] = 1.0
-        cost = np.zeros(na + nb + 1)
-        cost[-1] = 1.0
-        res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(len(v)), A_eq=a_eq,
-                      b_eq=np.ones(2),
-                      bounds=[(0.0, None)] * (na + nb) + [(None, None)],
-                      method="highs")
-        assert res.success, res.message
-        best = min(best, float(res.fun))
-    return best
 
 
 def maximal_disjoint_pairs(lattice: set[frozenset[int]]
@@ -345,42 +294,3 @@ def dual_point_by_conjugation(basis: np.ndarray, lam: np.ndarray,
     eye = np.eye(len(basis))
     return np.array([lam @ adjoint_by_conjugation(basis, g, eye[j])
                      for j in polarization])
-
-
-def isoperimetrix_switches(vertices, covector, t_end: float
-                           ) -> list[tuple[float, int, int]]:
-    """Exact switch times ``(t, from_vertex, to_vertex)`` up to ``t_end``.
-
-    Heisenberg group, polarization (0, 1), polygon ball with the given
-    vertices.  For the covector ``(l1, l2, l3)`` the dual point is
-    ``xi = (l1 - l3 x2, l2 + l3 x1)`` and the control is ``r v_k`` for
-    the vertex ``v_k`` maximizing ``xi``, where ``r`` is the conserved
-    dual norm.  So ``xi' = l3 r J v_k`` with ``J`` the quarter turn:
-    ``xi`` slides along the dual-sphere facet of ``v_k`` in a straight
-    line until another vertex reaches the same support value ``r``, which
-    gives each switch time in closed form (Busemann 1947).
-    """
-    v = np.asarray(vertices, dtype=float)
-    l1, l2, l3 = (float(x) for x in covector)
-    xi = np.array([l1, l2])
-    support = v @ xi
-    k = int(np.argmax(support))
-    r = float(support[k])
-    if l3 == 0.0 or r <= 0.0:
-        return []
-    t = 0.0
-    out: list[tuple[float, int, int]] = []
-    while True:
-        velocity = l3 * r * np.array([-v[k, 1], v[k, 0]])
-        rate = v @ velocity
-        gap = np.maximum(r - v @ xi, 0.0)
-        wait, nxt = math.inf, -1
-        for j in range(len(v)):
-            if j != k and rate[j] > 0.0 and gap[j] / rate[j] < wait:
-                wait, nxt = gap[j] / rate[j], j
-        if nxt < 0 or t + wait > t_end:
-            return out
-        t += wait
-        xi = xi + wait * velocity
-        out.append((t, k, nxt))
-        k = nxt

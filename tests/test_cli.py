@@ -319,6 +319,22 @@ def test_overflowing_adjoint_bound_exits_3(tmp_path, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overflowing_reference_subgroup_exits_3(tmp_path, capsys):
+    # exp(t * (0, 1000)) on the affine line overflows its scale entry
+    # from t = 0.71 on; the subgroup used to be written with inf rows.
+    src = tmp_path / "run.json"
+    src.write_text(json.dumps({
+        "name": "steep", "group": "affine_line",
+        "norm": {"family": "corner", "dim": 2}, "covector": [0.5, 1.0],
+        "reference_direction": [0.0, 1000.0], "t_end": 1.0, "step": 0.01}))
+    out = tmp_path / "out"
+    assert run("branch", "--config", src, "--out", out) == 3
+    assert ("numerical failure: chart point is not finite at t=0.71"
+            in capsys.readouterr().err)
+    assert list(out.iterdir()) == []
+
+
 def test_certify_without_polytope_ball_exits_2(tmp_path, capsys):
     code = run("certify", "--config", "abelian_euclidean",
                "--out", tmp_path)

@@ -18,7 +18,6 @@ from subfinsler import (
     check_duality_inversion,
     dual_energy,
     energy,
-    make_norm,
     norm_from_json,
     regular_polygon_ball,
 )
@@ -336,8 +335,8 @@ def test_sum_and_max_norms_are_polytope_norms():
     for norm, family in ((SumNorm(3), "l1"), (MaxNorm(3), "linf")):
         assert as_polyhedron(norm) is as_polyhedron(norm)
         assert isinstance(norm, PolyhedralNorm)
-        assert make_norm(family, 3).to_json_dict() == {
-            "family": family, "dim": 3, "params": {}}
+        data = {"family": family, "dim": 3, "params": {}}
+        assert norm_from_json(data).to_json_dict() == data
 
 
 def test_regime_ids_frozen():
@@ -415,9 +414,9 @@ def test_every_norm_class_is_an_exact_serializable_family():
     assert classes == covered
 
 
-def test_make_norm_errors():
+def test_norm_from_json_errors():
     with pytest.raises(NormError):
-        make_norm("unknown_family", 2)
+        norm_from_json({"family": "unknown_family", "dim": 2})
     with pytest.raises(NormError):
         CornerNorm(dim=3)
     with pytest.raises(NormError):

@@ -1,5 +1,8 @@
 """Polytope balls: construction, face lattice, star covering."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,11 +22,14 @@ from subfinsler.flow import FaceEvent, Trajectory
 from subfinsler.polyhedra import _polytope_pair_distance
 
 from oracles import (
-    exhaustive_delta,
     face_lattice_bruteforce,
     faces_share_a_closed_face,
     maximal_disjoint_pairs,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from reference import exhaustive_delta  # noqa: E402
 
 BALLS = [
     ("diamond2", l1_ball, 2),
@@ -88,6 +94,20 @@ def test_validation_rejects_bad_input():
         with pytest.raises(PolyhedronError, match="no facet"):
             Polyhedron(square.vertices,
                        np.vstack([square.functionals, loose, -loose]))
+
+
+def test_symmetry_check_is_relative_to_the_row_size():
+    # A thin diamond has functionals (+-1e4, +-1).  Negation that holds
+    # to a relative 1e-12 is symmetric, though the absolute gap is 1e-8.
+    vertices = np.array([[1e-4, 0.0], [-1e-4, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    functionals = np.array([[1e4, 1.0], [1e4, -1.0],
+                            [-1e4, 1.0], [-1e4, -1.0]])
+    near, far = functionals.copy(), functionals.copy()
+    near[3, 0] *= 1.0 + 1e-12
+    far[3, 0] *= 1.0 + 1e-6
+    assert len(Polyhedron(vertices, near).functionals) == 4
+    with pytest.raises(PolyhedronError, match="not symmetric"):
+        Polyhedron(vertices, far)
 
 
 def test_gauge_and_support_values():
