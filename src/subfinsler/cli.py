@@ -260,6 +260,9 @@ def _cmd_branch(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
     flow.write_trajectory_csv(second, out / f"{cfg.name}_trajectory_b.csv")
     payload = report.to_json_dict()
     payload["scenario"] = cfg.name
+    # The exact regime events beside the grid-bound coincidence time.
+    payload["events_a"] = [e.to_json_dict() for e in first.events]
+    payload["events_b"] = [e.to_json_dict() for e in second.events]
     _write_json(out / f"{cfg.name}_branch.json", payload)
     if not quiet:
         state = ("split at t=%.6g" % report.witness_time
@@ -380,7 +383,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        _COMMANDS[args.command](cfg, out, args.quiet)
+        # The explicit finite checks judge an overflow, so numpy's own
+        # warnings would only repeat it on stderr.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            _COMMANDS[args.command](cfg, out, args.quiet)
     except ScenarioError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -151,6 +151,17 @@ class Norm:
         dual energy is globally smooth return a constant."""
         return 0
 
+    def corner_cone(self, eta: Covector
+                    ) -> Callable[[np.ndarray], np.ndarray] | None:
+        """The switching function of the corner cone strictly holding
+        ``eta``, or None when no such cone does.
+
+        A corner cone is the normal cone of a corner of the unit ball:
+        on it ``grad E*(xi) = N*(xi) * corner``, so a normal curve keeps
+        its control there.  The function takes a stack of covectors
+        (..., dim) and is negative exactly inside the cone."""
+        return None
+
     # subdifferentials -------------------------------------------------
 
     def subdiff_energy(self, u: Vector) -> ConvexSet:
@@ -340,6 +351,16 @@ class CornerNorm(Norm):
         # they join into one.
         return 2 if len(off) > 1 or off[0] > 0.0 else 3
 
+    def _cap_switch(self, xi) -> np.ndarray:
+        """``|P xi| - |h|``: negative inside the open caps."""
+        xi = np.abs(np.asarray(xi, dtype=float))
+        off = np.delete(xi, self.axis, axis=-1)
+        return np.hypot.reduce(off, axis=-1) - xi[..., self.axis]
+
+    def corner_cone(self, eta):
+        """The cap ``|h| > |P eta|``, corners ``+-e_axis``."""
+        return self._cap_switch if self._cap_switch(eta) < 0.0 else None
+
     def grad_dual_energy(self, eta):
         h, off, k = self._split(eta)
         if abs(h) >= k:
@@ -451,6 +472,20 @@ class RootSumNorm(Norm):
         eta = np.asarray(eta, dtype=float)
         s = self._threshold(eta)
         return np.sign(eta) * np.maximum(np.abs(eta) - s, 0.0)
+
+    def corner_cone(self, eta):
+        """One active coordinate ``i``: ``|eta_i| > 2 max_{j!=i} |eta_j|``,
+        where ``s* = |eta_i| / 2`` and the corners are ``+-e_i``."""
+        eta = np.asarray(eta, dtype=float)
+        i = int(np.argmax(np.abs(eta)))
+        others = [j for j in range(len(eta)) if j != i]
+
+        def switch(xi):
+            a = np.abs(np.asarray(xi, dtype=float))
+            return (np.max(a[..., others], axis=-1, initial=0.0)
+                    - 0.5 * a[..., i])
+
+        return switch if switch(eta) < 0.0 else None
 
     def subdiff_energy(self, u):
         u = np.asarray(u, dtype=float)

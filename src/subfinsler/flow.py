@@ -10,15 +10,19 @@ where ``r`` is the dual norm of the restricted covector, conserved
 along the curve together with the pairing ``<xi, u> = r**2``.
 
 Two integrators are provided, and :func:`integrate` picks the one a
-norm needs.  :func:`integrate_smooth` handles norms with single-valued
-dual gradients by a fourth-order Runge-Kutta step on the chart matrix,
-recording crossings between smooth regimes of the dual energy.
-:func:`integrate_polyhedral` handles polytope balls by exact subgroup
-arcs: between face events the maximizing control is constant, so the
-grid nodes of an arc are one stacked closed-form evaluation (:func:`arc`,
-which also gives :func:`subgroup_trajectory` its nodes), and each
-face switch is the root of a gap between vertex supports, solved to
-rounding.  The face after a switch is read off the dual point's
+norm needs.  Both walk exact subgroup arcs wherever the control is
+constant: the grid nodes of an arc are one stacked closed-form
+evaluation (:func:`arc`, which also gives :func:`subgroup_trajectory`
+its nodes), and the arc ends at a root solved to rounding.
+:func:`integrate_smooth` handles norms with single-valued dual
+gradients.  On a corner cone of the norm the control is constant, as
+on a polytope face, and the arc ends where the dual point leaves the
+cone; elsewhere a fourth-order Runge-Kutta step on the chart matrix
+advances the curve, recording crossings between smooth regimes of the
+dual energy by bisection.  :func:`integrate_polyhedral` handles
+polytope balls: between face events the maximizing control is
+constant, and each face switch is the root of a gap between vertex
+supports.  The face after a switch is read off the dual point's
 velocity, so an instant pass through a lower face is one event.  Faces
 are compared only at grid nodes: a visit that starts and ends within
 one step is not seen (on the Heisenberg group none can be, since the
@@ -29,8 +33,8 @@ provided because normal data does not determine the control there.
 No curve has a non-finite node: a :class:`Trajectory` rejects a chart
 point that overflowed, the integrators reject a speed, dual point or
 dual point velocity that did, and all raise :class:`IntegrationError`,
-as does a face switch that ``brentq`` cannot solve or that advances
-neither time nor face.
+as does a face switch or cone exit that ``brentq`` cannot solve, or a
+face switch that advances neither time nor face.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .polyhedra import Polyhedron
 # Fraction of the grid step used as the width of the smooth integrator's
 # regime-crossing bisection.
 EVENT_WIDTH_FACTOR = 1e-3
-# Face switches of polyhedral arcs are root-solved to rounding: the
+# Face switches and cone exits on arcs are root-solved to rounding: the
 # least relative tolerance brentq accepts, and no absolute floor.
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 _ROOT_XTOL = np.finfo(float).tiny
@@ -223,6 +227,27 @@ def arc(spec: groups.GroupSpec, lam: np.ndarray, u_v: np.ndarray, s,
     return pts, groups.coadjoint_dual_point(spec, lam, pts, polarization)
 
 
+def _arc_root(value, lo: tuple[float, float], hi: tuple[float, float],
+              what: str, t0: float) -> float:
+    """The root of ``value(s)`` between the scanned arc offsets ``lo``
+    and ``hi``, given as ``(s, value)`` pairs, solved to rounding.
+
+    The bracket ends keep the values the scan saw.  A failed solve
+    raises IntegrationError at ``t0 + lo[0]``, for an arc from ``t0``.
+    """
+    def probe(s: float) -> float:
+        for end_s, end_value in (lo, hi):
+            if s == end_s:
+                return end_value
+        return value(s)
+
+    try:
+        return brentq(probe, lo[0], hi[0], xtol=_ROOT_XTOL, rtol=_ROOT_RTOL)
+    except RuntimeError as exc:
+        raise IntegrationError(f"{what} not solved ({exc})",
+                               t0 + lo[0]) from exc
+
+
 def whole_steps(t_end: float, step: float) -> int:
     """The number of grid steps from 0 to ``t_end``.
 
@@ -248,10 +273,21 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
                      ) -> Trajectory:
     """Integrate the normal flow of a strictly convex norm.
 
-    Fourth-order Runge-Kutta on the chart matrix.  Regime crossings of
-    the dual energy (corner norms switching between their smooth
-    pieces) are located by bisection to ``EVENT_WIDTH_FACTOR * step``
-    and recorded as events; node face ids are -1 throughout.
+    On a corner cone of the norm (:meth:`~subfinsler.convex.Norm.corner_cone`)
+    the control is constant, so a node strictly inside one holds its
+    control and the following nodes lie on the closed-form :func:`arc`,
+    evaluated in windows that double.  The first node whose switching
+    value is not negative brackets the exit, which ``brentq`` solves to
+    rounding on the arc's dual point.  The exit is one event at the
+    root, from the cone's regime to the first different regime after
+    it, if the curve reaches one before the horizon or the cone again.
+    An arc from the identity gives nodes that are exactly ``exp(t_k u)``.
+
+    Off the cones, fourth-order Runge-Kutta on the chart matrix, with a
+    partial first step from a cone exit to the next grid node.  Regime
+    crossings of the dual energy there, cone entries included, are
+    located by bisection to ``EVENT_WIDTH_FACTOR * step`` and recorded
+    as events; node face ids are -1 throughout.
     """
     if norm.convexity_class == "polyhedral":
         raise FlowError("polyhedral norms need the event-driven integrator")
@@ -292,30 +328,102 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
     controls[0], duals[0] = control(points[0], 0.0)
     events: list[FaceEvent] = []
     regime = norm.regime_id(duals[0])
+    # The time of a cone exit whose regime after it is not yet seen.
+    exit_t: float | None = None
 
-    for i in range(n_steps):
-        # The node's control is RK4's first stage, here and in the
+    def rk4_node(i: int, g: np.ndarray, u: np.ndarray, t: float, h: float
+                 ) -> None:
+        """Fill node ``i + 1`` by one step ``h`` from ``g`` at ``t``."""
+        nonlocal regime, exit_t
+        # The start's control is RK4's first stage, here and in the
         # event bisection; the next node's control comes with its dual
         # point from one evaluation.
-        k1 = velocity(points[i], controls[i])
-        g_next = rk4(points[i], k1, times[i], step)
+        k1 = velocity(g, u)
+        g_next = rk4(g, k1, t, h)
         controls[i + 1], duals[i + 1] = control(g_next, times[i + 1])
         new_regime = norm.regime_id(duals[i + 1])
         if new_regime != regime:
-            lo, hi = 0.0, step
-            width = EVENT_WIDTH_FACTOR * step
-            while hi - lo > width:
-                mid = 0.5 * (lo + hi)
-                g_mid = rk4(points[i], k1, times[i], mid)
-                xi_mid = groups.coadjoint_dual_point(spec, lam, g_mid, pol)
-                if norm.regime_id(xi_mid) != regime:
-                    hi = mid
-                else:
-                    lo = mid
-            events.append(FaceEvent(times[i] + 0.5 * (lo + hi),
-                                    regime, new_regime))
+            if exit_t is None:
+                lo, hi = 0.0, h
+                width = EVENT_WIDTH_FACTOR * step
+                while hi - lo > width:
+                    mid = 0.5 * (lo + hi)
+                    g_mid = rk4(g, k1, t, mid)
+                    xi_mid = groups.coadjoint_dual_point(spec, lam, g_mid,
+                                                         pol)
+                    if norm.regime_id(xi_mid) != regime:
+                        hi = mid
+                    else:
+                        lo = mid
+                t_event = t + 0.5 * (lo + hi)
+            else:
+                t_event, exit_t = exit_t, None
+            events.append(FaceEvent(t_event, regime, new_regime))
         regime = new_regime
         points[i + 1] = g_next
+
+    def walk_cone(i: int, switch) -> int:
+        """Fill the nodes after ``i`` on the arc of its held control.
+
+        Returns the last node filled: the end of the grid, or the first
+        node after the cone exit, reached by a partial RK4 step.
+        """
+        nonlocal exit_t
+        exit_t = None
+        u, t0 = controls[i].copy(), times[i]
+        g = None if i == 0 else points[i]
+        lo = (0.0, float(switch(duals[i])))
+        k, span = i + 1, 1
+        while k <= n_steps:
+            stop = min(k + span, n_steps + 1)
+            s = times[k:stop] - t0
+            pts, xis = arc(spec, lam, u, s, pol, g)
+            sw = switch(xis)
+            finite = np.isfinite(xis).all(axis=-1) & np.isfinite(sw)
+            ends = np.nonzero(~finite | (sw >= 0.0))[0]
+            keep = int(ends[0]) if len(ends) else len(s)
+            if keep < len(s) and not finite[keep]:
+                raise IntegrationError("dual point is not finite",
+                                       times[k + keep])
+            if keep:
+                lo = (float(s[keep - 1]), float(sw[keep - 1]))
+            exits = keep < len(s)
+            if exits:
+                hi = (float(s[keep]), float(sw[keep]))
+                root = _arc_root(
+                    lambda s_: float(switch(arc(spec, lam, u, s_, pol,
+                                                g)[1])),
+                    lo, hi, "cone exit", t0)
+                keep = int(np.searchsorted(s, root, side="right"))
+            points[k:k + keep], duals[k:k + keep] = pts[:keep], xis[:keep]
+            controls[k:k + keep] = u
+            k += keep
+            if not exits:
+                span *= 2
+                continue
+            last = k - 1
+            exit_t = t0 + root
+            if last == n_steps:
+                break
+            if root == times[last] - t0:
+                # The exit is a grid node: step on from it.
+                rk4_node(last, points[last], u, times[last], step)
+            else:
+                g_exit = arc(spec, lam, u, root, pol, g)[0]
+                u_exit = control(g_exit, exit_t)[0]
+                rk4_node(last, g_exit, u_exit, exit_t,
+                         times[last + 1] - exit_t)
+            return last + 1
+        return k - 1
+
+    i = 0
+    while i < n_steps:
+        switch = norm.corner_cone(duals[i])
+        if switch is None:
+            rk4_node(i, points[i], controls[i], times[i], step)
+            i += 1
+        else:
+            i = walk_cone(i, switch)
 
     return Trajectory(group=spec, norm=norm, polarization=pol, lam=lam,
                       times=times, points=points, controls=controls,
@@ -459,20 +567,9 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
             if len(hits):
                 hi = (float(s[keep]), float(h[keep]))
 
-                def gap_at(s_probe: float) -> float:
-                    # The bracket ends keep the values the scan saw.
-                    for end_s, end_h in (lo, hi):
-                        if s_probe == end_s:
-                            return end_h
-                    return float(gap(arc(spec, lam, u, s_probe, pol,
-                                         g)[1]))
-
-                try:
-                    root = brentq(gap_at, lo[0], hi[0], xtol=_ROOT_XTOL,
-                                  rtol=_ROOT_RTOL)
-                except RuntimeError as exc:
-                    raise IntegrationError(f"face switch not solved ({exc})",
-                                           t_seg + lo[0]) from exc
+                root = _arc_root(
+                    lambda s_: float(gap(arc(spec, lam, u, s_, pol, g)[1])),
+                    lo, hi, "face switch", t_seg)
                 keep = int(np.searchsorted(s, root, side="right"))
             points[k:k + keep], duals[k:k + keep] = pts[:keep], xis[:keep]
             controls[k:k + keep], face_ids[k:k + keep] = u, face.fid

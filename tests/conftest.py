@@ -1,12 +1,23 @@
 """Shared fixtures plus a terminal summary for the acceptance suite.
 
-Tests marked ``@pytest.mark.acceptance(num, name)`` are aggregated per
-criterion number and reported as one PASS/FAIL line each at the end of
-the run.
+The fine-step affine corner runs of acceptance criteria 1 and 2 are
+built once per test run; the cone-walk oracles in ``test_flow.py`` read
+their exit events.  Tests marked ``@pytest.mark.acceptance(num, name)``
+are aggregated per criterion number and reported as one PASS/FAIL line
+each at the end of the run.
 """
+
+import time
 
 import numpy as np
 import pytest
+
+from subfinsler import (
+    CornerNorm,
+    affine_line_group,
+    integrate_smooth,
+    subgroup_trajectory,
+)
 
 _results: dict[int, dict] = {}
 
@@ -43,3 +54,18 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260815)
+
+
+@pytest.fixture(scope="session")
+def affine_runs():
+    t0 = time.perf_counter()
+    aff = affine_line_group()
+    norm = CornerNorm()
+    step = 1e-4
+    t_end = 2.2
+    half = integrate_smooth(aff, norm, [0.5, 1.0], t_end, step)
+    third = integrate_smooth(aff, norm, [1.0 / 3.0, 1.0], t_end, step)
+    vertical = subgroup_trajectory(aff, norm, [0.5, 1.0], [0.0, 1.0],
+                                   t_end, step)
+    return {"half": half, "third": third, "vertical": vertical,
+            "build_seconds": time.perf_counter() - t0}

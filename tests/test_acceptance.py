@@ -29,7 +29,6 @@ from subfinsler import (
     RootSumNorm,
     SumNorm,
     adjoint_matrix,
-    affine_line_group,
     check_constant_speed,
     check_duality_inversion,
     detect_branching,
@@ -41,7 +40,6 @@ from subfinsler import (
     linf_ball,
     regular_polygon_ball,
     rotation_group,
-    subgroup_trajectory,
     translation_group,
     verify_face_stability,
     vertical_shortcut,
@@ -55,22 +53,7 @@ LN2 = math.log(2.0)
 LN3 = math.log(3.0)
 
 
-# -- criteria 1 and 2 share the fine-step affine runs -------------------------
-
-
-@pytest.fixture(scope="module")
-def affine_runs():
-    t0 = time.perf_counter()
-    aff = affine_line_group()
-    norm = CornerNorm()
-    step = 1e-4
-    t_end = 2.2
-    half = integrate_smooth(aff, norm, [0.5, 1.0], t_end, step)
-    third = integrate_smooth(aff, norm, [1.0 / 3.0, 1.0], t_end, step)
-    vertical = subgroup_trajectory(aff, norm, [0.5, 1.0], [0.0, 1.0],
-                                   t_end, step)
-    return {"half": half, "third": third, "vertical": vertical,
-            "build_seconds": time.perf_counter() - t0}
+# -- criteria 1 and 2 share the fine-step affine runs (conftest.py) --------
 
 
 @pytest.mark.acceptance(1, "affine branching times")

@@ -111,6 +111,11 @@ def test_branch_against_subgroup(tmp_path):
     report = read_json(tmp_path / "affine_corner_half_branch.json")
     assert report["branched"] is True
     assert abs(report["coincidence_time"] - math.log(2.0)) < 5e-2
+    # The curve's cap exit is root-solved, so it is the exact branch point
+    # whatever the grid; the subgroup has no regime events.
+    [exit_event] = report["events_a"]
+    assert abs(exit_event["t"] - math.log(2.0)) <= 1e-12
+    assert report["events_b"] == []
 
 
 def test_certify_full_pipeline(tmp_path):
@@ -292,6 +297,28 @@ def test_overflowing_covector_exits_3_in_a_subprocess(tmp_path, command,
     assert list(out.iterdir()) == []
 
 
+def test_numerical_failure_prints_one_line_in_a_subprocess(tmp_path):
+    # numpy's own overflow warnings used to precede the failure line,
+    # with the source paths of groups.py and numpy.linalg in them.
+    steep = tmp_path / "steep.json"
+    steep.write_text(json.dumps({
+        "name": "steep", "group": "affine_line",
+        "norm": {"family": "corner", "dim": 2}, "covector": [0.5, 1.0],
+        "reference_direction": [0.0, 1000.0], "t_end": 1.0, "step": 0.01}))
+    huge = _heisenberg_scenario(tmp_path / "huge.json", "euclidean", 3,
+                                [0.3, 0.5, 1e308])
+    package_root = Path(subfinsler.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    for command, src in (("branch", steep), ("integrate", huge)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "subfinsler.cli", command, "--config",
+             str(src), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure:")
+
+
 @pytest.mark.parametrize("command, family, dim, covector", [
     ("certify", "linf", 3, [1e154, 1e154, 1e154]),
     ("branch", "linf", 3, [1e154, 1e154, 1e154]),
@@ -300,7 +327,6 @@ def test_overflowing_covector_exits_3_in_a_subprocess(tmp_path, command,
     # The dual norm of the covector itself overflows.
     ("integrate", "linf", 2, [1e308, 1e308, 1.0]),
 ])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_covector_exits_3(tmp_path, capsys, command, family,
                                       dim, covector):
     src = _heisenberg_scenario(tmp_path / "run.json", family, dim, covector)
@@ -319,7 +345,6 @@ def test_overflowing_adjoint_bound_exits_3(tmp_path, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_reference_subgroup_exits_3(tmp_path, capsys):
     # exp(t * (0, 1000)) on the affine line overflows its scale entry
     # from t = 0.71 on; the subgroup used to be written with inf rows.

@@ -354,6 +354,46 @@ def test_regime_ids_frozen():
     assert root.regime_id([1.1, 1.0]) == 8
 
 
+def test_corner_cones_frozen():
+    assert EuclideanNorm(2).corner_cone([0.0, 1.0]) is None
+    assert MaxNorm(2).corner_cone([0.0, 1.0]) is None
+    corner = CornerNorm()
+    switch = corner.corner_cone([0.5, 1.0])
+    assert np.array_equal(switch(np.array([[0.5, 1.0], [1.0, -1.0],
+                                           [2.0, 1.0]])), [-0.5, 0.0, 1.0])
+    # The cap's edge belongs to the cap's regime, but not strictly.
+    assert corner.corner_cone([1.0, 1.0]) is None
+    assert corner.corner_cone([1.0, 0.5]) is None
+    axis = AxisCornerNorm()
+    assert axis.corner_cone([-1.0, 0.3, 0.4])([1.0, 0.3, 0.4]) == -0.5
+    assert axis.corner_cone([0.5, 0.3, 0.4]) is None
+    root = RootSumNorm(3)
+    switch = root.corner_cone([2.0, 0.3, -0.4])
+    assert switch([2.0, 0.3, -0.4]) == pytest.approx(-0.6, abs=1e-15)
+    stack = np.array([[2.0, 1.0, 0.0], [-4.0, 1.0, 0.5]])
+    assert np.array_equal(switch(stack), [0.0, -1.0])
+    assert root.corner_cone([2.0, 1.0, 0.0]) is None
+    assert root.corner_cone([1.0, 0.9, 0.0]) is None
+
+
+def test_corner_cone_controls_are_corners(rng):
+    # Inside a corner cone the gradient of E* is N*(eta) times a corner
+    # +-e_i of the ball.
+    for norm in (CornerNorm(), AxisCornerNorm(), RootSumNorm(2),
+                 RootSumNorm(3)):
+        inside = 0
+        for _ in range(60):
+            eta = rng.standard_normal(norm.dim)
+            if norm.corner_cone(eta) is None:
+                continue
+            inside += 1
+            grad = norm.grad_dual_energy(eta)
+            assert len(np.flatnonzero(grad)) == 1
+            assert norm.value(grad) == pytest.approx(norm.dual_value(eta),
+                                                     rel=1e-14)
+        assert inside > 0
+
+
 def test_grad_dual_energy_properties(rng):
     for norm in (EuclideanNorm(3), CornerNorm(), AxisCornerNorm(),
                  RootSumNorm(3)):

@@ -43,7 +43,7 @@ from oracles import dual_point_by_conjugation
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
-from reference import isoperimetrix_switches  # noqa: E402
+from reference import corner_exit_time, isoperimetrix_switches  # noqa: E402
 
 
 # -- smooth integrator -----------------------------------------------------
@@ -56,10 +56,10 @@ def test_affine_corner_switch_times():
     assert traj.speed == 1.0
     assert np.array_equal(traj.controls[0], [0.0, 1.0])
     assert len(traj.events) == 1
-    assert abs(traj.events[0].t - math.log(2.0)) <= 1e-5
+    assert abs(traj.events[0].t - math.log(2.0)) <= 1e-12
     second = integrate_smooth(spec, norm, [1.0 / 3.0, 1.0], 1.2, 1e-3)
     assert len(second.events) == 1
-    assert abs(second.events[0].t - math.log(3.0)) <= 1e-5
+    assert abs(second.events[0].t - math.log(3.0)) <= 1e-12
 
 
 def test_affine_coincides_with_subgroup_until_switch():
@@ -86,6 +86,111 @@ def test_rotation_axis_curve_is_subgroup():
     assert np.allclose(traj.controls, np.tile([1.0, 0.0, 0.0],
                                               (len(traj.times), 1)),
                        atol=1e-12)
+
+
+def rk4_nodes(spec, norm, lam, t_end, step, pol):
+    """Chart points of plain RK4 on the chart matrix, with the control
+    ``grad_dual_energy`` at every stage and no corner cone walked."""
+    basis = spec.basis[list(pol)]
+
+    def rhs(g):
+        xi = coadjoint_dual_point(spec, lam, g, pol)
+        return g @ np.einsum("i,iab->ab", norm.grad_dual_energy(xi), basis)
+
+    g = spec.identity()
+    nodes = [g]
+    for _ in range(flow.whole_steps(t_end, step)):
+        k1 = rhs(g)
+        k2 = rhs(g + 0.5 * step * k1)
+        k3 = rhs(g + 0.5 * step * k2)
+        k4 = rhs(g + step * k3)
+        g = g + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        nodes.append(g)
+    return np.array(nodes)
+
+
+def test_affine_cap_exits_of_the_acceptance_runs(affine_runs):
+    # Along exp(t B2) the dual point is (exp(t) l1, 1): the cap is left
+    # at ln(1/l1), root-solved on the arc.
+    for key, l1, exact in (("half", 0.5, math.log(2.0)),
+                           ("third", 1.0 / 3.0, math.log(3.0))):
+        [event] = affine_runs[key].events
+        assert (event.from_face, event.to_face) == (0, 2)
+        assert abs(event.t - exact) <= 1e-12
+        assert abs(event.t - corner_exit_time([l1, 1.0])) <= 1e-12
+
+
+def test_root_sum_pair_exits_at_the_linear_root():
+    # One active coordinate holds u = (1, 0, 0), so xi2 = 0.3 + 0.4 t
+    # meets xi1 / 2 = 1 at t = 1.75, which is grid node 1750.
+    traj = integrate_smooth(heisenberg_group(), RootSumNorm(3),
+                            [2.0, 0.3, 0.4], 3.0, 1e-3)
+    [event] = traj.events
+    assert abs(event.t - (1.0 - 0.3) / 0.4) <= 1e-12
+    assert (event.from_face, event.to_face) == (22, 25)
+
+
+@pytest.mark.parametrize("lam", [[1.0, 0.2, -0.3], [1.0, -0.25, 0.1]])
+def test_rotation_cap_arc_matches_fine_rk4(lam):
+    spec, norm = rotation_group(), AxisCornerNorm()
+    traj = integrate_smooth(spec, norm, lam, 0.5, 1e-3)
+    assert traj.events == []
+    fine = rk4_nodes(spec, norm, np.asarray(lam), 0.5, 1e-4,
+                     spec.polarization)
+    assert np.max(np.abs(traj.points - fine[::10])) <= 1e-12
+
+
+def _corner_bound(xi):
+    # The planar cap |xi2| > |xi1|: xi2 is fixed, xi1 moves.
+    return 0, abs(xi[1])
+
+
+def _root_sum_bound(xi):
+    # One active coordinate i: xi_i is fixed, the other reaches |xi_i|/2.
+    i = int(np.argmax(np.abs(xi)))
+    return 1 - i, 0.5 * abs(xi[i])
+
+
+@pytest.mark.parametrize("norm, lam, bound, entries", [
+    (CornerNorm(), [0.3, 1.0, 2.0], _corner_bound, 1),
+    (RootSumNorm(2), [1.0, 0.3, 2.0], _root_sum_bound, 3),
+], ids=["corner", "root_sum"])
+def test_cone_exits_after_a_lap_are_linear_roots(norm, lam, bound, entries):
+    # On the Heisenberg group a held control moves the dual point on a
+    # line, so each exit is the linear root from its arc's first node.
+    spec, pol = heisenberg_group(), (0, 1)
+    traj = integrate_smooth(spec, norm, lam, 6.0, 1e-3, polarization=pol)
+    inside = [norm.corner_cone(xi) is not None for xi in traj.duals]
+    starts = []
+    for event in traj.events:
+        before = int(np.searchsorted(traj.times, event.t)) - 1
+        if not inside[before]:
+            continue  # an entry, which is bisected
+        k = before
+        while k > 0 and inside[k - 1]:
+            k -= 1
+        starts.append(k)
+        xi = traj.duals[k]
+        rate = dual_derivative(spec, np.asarray(lam), traj.points[k],
+                               traj.controls[k], pol)
+        j, edge = bound(xi)
+        to_go = math.copysign(edge, rate[j]) - xi[j]
+        root = traj.times[k] + to_go / rate[j]
+        assert abs(event.t - root) <= 1e-12
+    assert starts[0] == 0
+    assert len(starts) == entries + 1 and min(starts[1:]) > 0
+
+
+@pytest.mark.parametrize("spec, lam, pol", [
+    (heisenberg_group(), [0.25, 0.3, 0.45], (0, 1)),
+    (rotation_group(), [0.3, 1.0, -0.5], (0, 1, 2)),
+], ids=["heisenberg", "rotation"])
+def test_euclidean_runs_are_plain_rk4(spec, lam, pol):
+    norm = EuclideanNorm(len(pol))
+    traj = integrate_smooth(spec, norm, lam, 1.0, 1e-2, polarization=pol)
+    assert np.array_equal(traj.points,
+                          rk4_nodes(spec, norm, np.asarray(lam), 1.0, 1e-2,
+                                    pol))
 
 
 @pytest.mark.parametrize("spec, norm, lam, pol", [
@@ -128,6 +233,11 @@ def test_degenerate_covector_raises():
      (0, 2), "chart point is not finite"),
     (translation_group(2), MaxNorm(2), [1e307, 0.0], 20.0, 1.0, None,
      "chart point is not finite"),
+    # The cap arc exp(1000 t B2) overflows from t = 0.71 on, where the
+    # dual point 0 * e^(1000 t) turns NaN; RK4 at this step stays finite
+    # and wrong.
+    (affine_line_group(), CornerNorm(), [0.0, 1000.0], 1.0, 0.01, None,
+     "dual point is not finite at t=0.71"),
 ])
 def test_overflowing_run_raises(spec, norm, lam, t_end, step, pol,
                                 message):
