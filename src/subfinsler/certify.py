@@ -342,12 +342,13 @@ def vertical_shortcut(eps: float, samples_per_leg: int = 16) -> ShortcutPath:
     The legs use controls B1 + B3, B2 + B3, -B1 + B3, -B2 + B3, each of
     unit max norm, for time beta each.  The planar loop contributes
     area beta**2 of extra central drift, so the leg time solves
-    4*beta + beta**2 = eps, i.e. beta = sqrt(4 + eps) - 2.
+    4*beta + beta**2 = eps, i.e. beta = sqrt(4 + eps) - 2, computed as
+    eps / (2 + sqrt(4 + eps)), which does not cancel when eps is small.
     """
     if eps <= 0.0:
         raise ValueError("the central target must have positive height")
     spec = groups.heisenberg_group()
-    beta = math.sqrt(4.0 + eps) - 2.0
+    beta = eps / (2.0 + math.sqrt(4.0 + eps))
     controls = np.array([
         [1.0, 0.0, 1.0],
         [0.0, 1.0, 1.0],

@@ -3,12 +3,12 @@
 A :class:`GroupSpec` fixes a basis of the Lie algebra inside a matrix
 space, the structure constants computed from matrix brackets, and a
 polarization: the indices of the basis vectors spanning the subspace of
-admissible velocities.  Group elements are plain chart matrices; the
-exponential uses a closed form where one is registered and falls back
-to the dense scaling-and-squaring exponential otherwise.
+admissible velocities.  Group elements are plain chart matrices.  Every
+group brings closed forms for its exponential and its adjoint action
+(conjugation in the chart, pulled back to algebra coordinates), so no
+matrix exponential is computed and no group element is inverted.
 
-The adjoint action is conjugation in the chart, pulled back to algebra
-coordinates; :func:`coadjoint_dual_point` composes a covector with it
+:func:`coadjoint_dual_point` composes a covector with the adjoint action
 and restricts to the polarization, which is the quantity transported
 along normal curves.  :func:`exp`, :func:`adjoint_matrix` and
 :func:`coadjoint_dual_point` accept a leading stack axis, so a whole
@@ -22,11 +22,10 @@ computed here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 # Brackets of basis elements must land in the basis span this tightly.
 CLOSURE_TOL = 1e-9
@@ -52,12 +51,12 @@ class GroupSpec:
         basis: Array of shape (dim, N, N), the chart basis.
         structure: Constants c with [B_i, B_j] = sum_k c[i, j, k] B_k.
         polarization: Basis indices spanning the admissible velocities.
-        exp_closed: Optional exact exponential, coords -> chart matrix.
-        ad_pullback: Optional closed form for the adjoint matrix of a
-            chart element (columns are images of the basis in coords).
+        exp_closed: Exact exponential, coords -> chart matrix.
+        ad_pullback: Closed form for the adjoint matrix of a chart
+            element (columns are images of the basis in coords).
             Both closed forms map a stack (..., dim) or (..., N, N) to
             the matching stack of results.
-        variety: Optional residual function; near zero on the group.
+        variety: Residual function; near zero on the group.
     """
 
     name: str
@@ -65,9 +64,9 @@ class GroupSpec:
     basis: np.ndarray
     structure: np.ndarray
     polarization: tuple[int, ...]
-    exp_closed: Callable[[np.ndarray], np.ndarray] | None = None
-    ad_pullback: Callable[[np.ndarray], np.ndarray] | None = None
-    variety: Callable[[np.ndarray], float] | None = None
+    exp_closed: Callable[[np.ndarray], np.ndarray]
+    ad_pullback: Callable[[np.ndarray], np.ndarray]
+    variety: Callable[[np.ndarray], float]
     _flat_pinv: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -127,10 +126,7 @@ def ad_matrix(spec: GroupSpec, x: np.ndarray) -> np.ndarray:
 
 def exp(spec: GroupSpec, coords: np.ndarray) -> GroupElement:
     """Group exponential of algebra coordinates, shape (..., dim)."""
-    coords = np.asarray(coords, dtype=float)
-    if spec.exp_closed is not None:
-        return spec.exp_closed(coords)
-    return expm(to_matrix(spec, coords))
+    return spec.exp_closed(np.asarray(coords, dtype=float))
 
 
 def adjoint_matrix(spec: GroupSpec, g: GroupElement) -> np.ndarray:
@@ -138,19 +134,7 @@ def adjoint_matrix(spec: GroupSpec, g: GroupElement) -> np.ndarray:
 
     ``g`` may carry a leading stack axis, (..., N, N) -> (..., dim, dim).
     """
-    g = np.asarray(g, dtype=float)
-    if spec.ad_pullback is not None:
-        return spec.ad_pullback(g)
-    conj = np.einsum("...ab,ibc,...cd->...iad", g, spec.basis,
-                     np.linalg.inv(g))
-    flat = conj.reshape(*g.shape[:-2], spec.dim, -1)
-    coords = flat @ spec._flat_pinv.T
-    recon = coords @ spec.basis.reshape(spec.dim, -1)
-    residual = float(np.max(np.abs(recon - flat)))
-    if residual > CLOSURE_TOL * (1.0 + float(np.max(np.abs(flat)))):
-        raise GroupChartError(
-            f"adjoint image lies {residual:.3e} outside the algebra span")
-    return coords.swapaxes(-1, -2)
+    return spec.ad_pullback(np.asarray(g, dtype=float))
 
 
 def coadjoint_dual_point(spec: GroupSpec, lam: np.ndarray, g: GroupElement,
@@ -168,8 +152,6 @@ def coadjoint_dual_point(spec: GroupSpec, lam: np.ndarray, g: GroupElement,
 
 def variety_residual(spec: GroupSpec, g: GroupElement) -> float:
     """How far a chart matrix sits from the group variety."""
-    if spec.variety is None:
-        return 0.0
     return float(spec.variety(np.asarray(g, dtype=float)))
 
 
@@ -189,34 +171,32 @@ def _jacobi_residual(structure: np.ndarray) -> float:
 
 
 def matrix_group(name: str, basis: np.ndarray,
-                 polarization: tuple[int, ...] | None = None,
-                 exp_closed=None, ad_pullback=None, variety=None) -> GroupSpec:
-    """Build a GroupSpec from a matrix basis.
+                 polarization: tuple[int, ...] | None = None, *,
+                 exp_closed, ad_pullback, variety) -> GroupSpec:
+    """Build a GroupSpec from a matrix basis and its closed forms.
 
     Structure constants are extracted from matrix brackets; the basis
     must close under brackets and satisfy the Jacobi identity.
     """
     basis = np.asarray(basis, dtype=float)
     dim = basis.shape[0]
-    flat = basis.reshape(dim, -1)
-    flat_pinv = np.linalg.pinv(flat.T)
-    probe = GroupSpec(name=name, dim=dim, basis=basis,
-                      structure=np.zeros((dim, dim, dim)),
-                      polarization=tuple(range(dim)), _flat_pinv=flat_pinv)
+    if polarization is None:
+        polarization = tuple(range(dim))
+    spec = GroupSpec(name=name, dim=dim, basis=basis,
+                     structure=np.zeros((dim, dim, dim)),
+                     polarization=tuple(int(i) for i in polarization),
+                     exp_closed=exp_closed, ad_pullback=ad_pullback,
+                     variety=variety,
+                     _flat_pinv=np.linalg.pinv(basis.reshape(dim, -1).T))
     structure = np.zeros((dim, dim, dim))
     for i in range(dim):
         for j in range(dim):
             br = basis[i] @ basis[j] - basis[j] @ basis[i]
-            structure[i, j] = from_matrix(probe, br)
+            structure[i, j] = from_matrix(spec, br)
     jac = _jacobi_residual(structure)
     if jac > JACOBI_TOL:
         raise GroupChartError(f"Jacobi identity violated by {jac:.3e}")
-    if polarization is None:
-        polarization = tuple(range(dim))
-    return GroupSpec(name=name, dim=dim, basis=basis, structure=structure,
-                     polarization=tuple(int(i) for i in polarization),
-                     exp_closed=exp_closed, ad_pullback=ad_pullback,
-                     variety=variety, _flat_pinv=flat_pinv)
+    return replace(spec, structure=structure)
 
 
 # ---------------------------------------------------------------------------

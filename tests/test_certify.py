@@ -399,6 +399,15 @@ def test_shortcut_beta_solves_quartic():
         assert abs(4.0 * beta + beta * beta - eps) <= 1e-12
         assert path.length == 4.0 * beta
         assert path.length < eps
+    # Far from eps = 1 the leg time keeps its digits: sqrt(4 + eps) - 2
+    # cancels to a length above eps at 1e-12.
+    for eps in (1e-12, 1e-6, 1e6, 1e12):
+        path = vertical_shortcut(eps)
+        beta = path.beta
+        assert abs(4.0 * beta + beta * beta - eps) <= 1e-14 * eps
+        assert path.length == 4.0 * beta
+        assert 0.0 < path.length <= eps
+        assert path.endpoint_gap <= 1e-12 * eps
 
 
 def test_shortcut_eps_five_frozen():

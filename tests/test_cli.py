@@ -173,6 +173,19 @@ def test_shortcut_outputs(tmp_path):
     assert csv.read_text().splitlines()[0] == "t,x1,x2,x3"
 
 
+@pytest.mark.parametrize("eps", [1e-12, 1e12])
+def test_shortcut_far_from_unit_eps_exits_0(tmp_path, eps):
+    src = tmp_path / "far.json"
+    src.write_text(json.dumps({"name": "far", "group": "heisenberg",
+                               "norm": {"family": "linf", "dim": 3},
+                               "eps": eps}))
+    assert run("shortcut", "--config", src, "--out", tmp_path,
+               "--quiet") == 0
+    summary = read_json(tmp_path / "far_shortcut.json")
+    assert 0.0 < summary["length"] < eps
+    assert summary["endpoint_gap"] <= 1e-9 * eps
+
+
 def test_faces_outputs(tmp_path):
     code = run("faces", "--config", "hexagon_faces", "--out", tmp_path,
                "--quiet")
@@ -459,6 +472,11 @@ BAD_VALUES = {
                                 []),
     "null_reference_direction_entry": (
         "branch", {"reference_direction": [1.0, None]}, []),
+    "short_reference_direction": (
+        "branch", {"reference_direction": [1.0]}, []),
+    "empty_reference_direction": ("branch", {"reference_direction": []}, []),
+    "long_reference_direction": (
+        "branch", {"reference_direction": [1.0, 0.0, 0.0]}, []),
     "covector_b_and_reference_direction": (
         "branch", {"covector_b": [0.3, -0.5, 0.8],
                    "reference_direction": [1.0, 0.0]}, []),
@@ -469,6 +487,8 @@ BAD_VALUES = {
     "zero_window": ("certify", {"window": 0.0}, []),
     "negative_eps": ("shortcut", {"eps": -1.0}, []),
     "name_with_separator": ("integrate", {"name": "sub/bad"}, []),
+    "list_group": ("integrate", {"group": []}, []),
+    "object_group": ("integrate", {"group": {}}, []),
 }
 
 

@@ -1,6 +1,9 @@
 """Group charts: brackets, exponentials, adjoints, submetries."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,11 +84,46 @@ def test_bracket_antisymmetry_and_jacobi(any_group, rng):
                            -bracket(any_group, y, x), atol=1e-12)
 
 
+def _placeholder(_):
+    raise AssertionError("the closure check runs before any closed form")
+
+
 def test_matrix_group_rejects_nonclosed_basis():
     basis = np.array([[[0.0, 1.0], [0.0, 0.0]],
                       [[0.0, 0.0], [1.0, 0.0]]])
     with pytest.raises(GroupChartError):
-        matrix_group("sl2_partial", basis)
+        matrix_group("sl2_partial", basis, exp_closed=_placeholder,
+                     ad_pullback=_placeholder, variety=_placeholder)
+
+
+def test_matrix_group_requires_closed_forms():
+    basis = rotation_group().basis
+    with pytest.raises(TypeError):
+        matrix_group("no_closed_forms", basis)
+    with pytest.raises(TypeError):
+        matrix_group("no_adjoint", basis, exp_closed=_placeholder,
+                     variety=_placeholder)
+
+
+# Loads groups.py on its own file (it has no package imports), uses it,
+# and prints the scipy modules that got imported.
+STANDALONE_LOAD = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("groups", sys.argv[1])
+module = sys.modules["groups"] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+rot = module.rotation_group()
+g = module.exp(rot, [0.1, 0.2, 0.3])
+module.coadjoint_dual_point(rot, [1.0, 0.0, 0.0], g)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_groups_module_loads_without_scipy():
+    path = Path(__file__).resolve().parents[1] / "src/subfinsler/groups.py"
+    done = subprocess.run([sys.executable, "-c", STANDALONE_LOAD, str(path)],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # -- chart round trips ---------------------------------------------------------
@@ -112,20 +150,12 @@ def test_from_matrix_rejects_off_span():
 # -- exponentials ---------------------------------------------------------------
 
 
-# Every registered group, plus the generic path: charts built without
-# closed forms, which use stacked expm and explicit conjugation.
-STACK_GROUPS = {name: (lambda name=name: group_by_name(name))
-                for name in ALL_GROUPS}
-STACK_GROUPS["generic_rotation"] = lambda: matrix_group(
-    "generic_rotation", rotation_group().basis)
-STACK_GROUPS["generic_affine_line"] = lambda: matrix_group(
-    "generic_affine_line", affine_line_group().basis)
-
-
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(name=st.sampled_from(sorted(STACK_GROUPS)), data=st.data())
+@given(name=st.sampled_from(ALL_GROUPS), data=st.data())
 def test_stacked_kernels_match_each_element(name, data):
-    spec = STACK_GROUPS[name]()
+    # Each stacked row also matches the independent generic path:
+    # scipy's expm of the chart matrix, and explicit conjugation.
+    spec = group_by_name(name)
     rows = data.draw(st.integers(1, 5))
     entry = st.floats(-2.0, 2.0, allow_nan=False)
     x = np.array(data.draw(st.lists(entry, min_size=rows * spec.dim,
@@ -146,6 +176,14 @@ def test_stacked_kernels_match_each_element(name, data):
         assert np.max(np.abs(adj[i] - adjoint_matrix(spec, g))) <= 1e-12
         assert np.max(np.abs(duals[i] - coadjoint_dual_point(spec, lam, g))
                       ) <= 1e-12
+        generic = expm(to_matrix(spec, x[i]))
+        assert np.max(np.abs(gs[i] - generic)) <= 1e-9 * (
+            1.0 + np.max(np.abs(generic)))
+        for k in range(spec.dim):
+            oracle = adjoint_by_conjugation(spec.basis, gs[i],
+                                            np.eye(spec.dim)[k])
+            assert np.max(np.abs(adj[i, :, k] - oracle)) <= 1e-9 * (
+                1.0 + np.max(np.abs(oracle)))
     # A second stack axis is carried through as well.
     grid = group_exp(spec, x.reshape(1, rows, spec.dim))
     assert np.max(np.abs(grid[0] - gs)) <= 1e-12
