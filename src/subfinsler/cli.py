@@ -207,15 +207,22 @@ def _polytope_ball(norm: convex.Norm) -> Polyhedron:
         raise ScenarioError(str(exc)) from exc
 
 
-def _curve(cfg: ScenarioConfig, spec: groups.GroupSpec, norm: convex.Norm,
-           values: list[float] | None) -> flow.Trajectory:
-    """The scenario's normal curve for the covector ``values``."""
+def _covector(spec: groups.GroupSpec, values: list[float] | None
+              ) -> np.ndarray:
+    """The covector ``values`` as an array, checked against the group."""
     if values is None:
         raise ScenarioError("scenario does not define the needed covector")
     lam = np.asarray(values, dtype=float)
     if lam.shape != (spec.dim,):
         raise ScenarioError(
             f"covector needs {spec.dim} coordinates, got {lam.shape}")
+    return lam
+
+
+def _curve(cfg: ScenarioConfig, spec: groups.GroupSpec, norm: convex.Norm,
+           values: list[float] | None) -> flow.Trajectory:
+    """The scenario's normal curve for the covector ``values``."""
+    lam = _covector(spec, values)
     return flow.integrate(spec, norm, lam, cfg.t_end, cfg.step,
                           polarization=cfg.pol(spec), rule=cfg.rule)
 
@@ -251,15 +258,19 @@ def _cmd_branch(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
     if direction is not None and len(direction) != len(pol):
         raise ScenarioError(f"reference_direction needs {len(pol)} "
                             f"coordinates, got {len(direction)}")
+    # Both curves' inputs are checked before either is integrated.
+    _covector(spec, cfg.covector)
+    if cfg.covector_b is not None:
+        _covector(spec, cfg.covector_b)
+    elif direction is None:
+        raise ScenarioError("branch needs covector_b or reference_direction")
     first = _curve(cfg, spec, norm, cfg.covector)
     if cfg.covector_b is not None:
         second = _curve(cfg, spec, norm, cfg.covector_b)
-    elif direction is not None:
+    else:
         second = flow.subgroup_trajectory(
             spec, norm, first.lam, np.asarray(direction, dtype=float),
             cfg.t_end, cfg.step, polarization=pol)
-    else:
-        raise ScenarioError("branch needs covector_b or reference_direction")
     report = flow.detect_branching(first, second)
     flow.write_trajectory_csv(first, out / f"{cfg.name}_trajectory_a.csv")
     flow.write_trajectory_csv(second, out / f"{cfg.name}_trajectory_b.csv")

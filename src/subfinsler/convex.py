@@ -29,6 +29,7 @@ gauges on top of the cross-polytope and the cube.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -98,6 +99,27 @@ def _vertex_hull(verts: np.ndarray, membership) -> ConvexSet:
     return ConvexSet(kind="polytope", membership=membership, vertices=verts)
 
 
+def _rowwise(kernel):
+    """Give a one-vector gauge ``kernel(self, v) -> float`` the stack
+    contract of :meth:`Norm.value`: a stack (..., dim) is mapped row by
+    row, so each entry keeps the one-vector arithmetic bit for bit."""
+
+    @functools.wraps(kernel)
+    def gauge(self, v):
+        # A 1-D array goes straight to the kernel, with no conversion:
+        # integrate_smooth calls the gauges at every RK4 stage.
+        if getattr(v, "ndim", None) != 1:
+            v = np.asarray(v, dtype=float)
+            if v.ndim > 1:
+                rows = v.reshape(-1, v.shape[-1])
+                out = np.array([kernel(self, row) for row in rows],
+                               dtype=float)
+                return out.reshape(v.shape[:-1])
+        return kernel(self, v)
+
+    return gauge
+
+
 def _sign_completions(u: np.ndarray) -> np.ndarray:
     """All sign vectors matching sign(u) where u is nonzero; +-1 elsewhere."""
     u = np.asarray(u, dtype=float)
@@ -127,10 +149,17 @@ class Norm:
 
     # gauge ----------------------------------------------------------
 
-    def value(self, v: Vector) -> float:
+    def value(self, v: Vector) -> float | np.ndarray:
+        """The norm of ``v``, of shape (..., dim).
+
+        One vector gives a Python float; a stack gives an array of the
+        leading shape, entry by entry the one-vector value (to rounding
+        where a polytope gauge is one matrix product)."""
         raise NotImplementedError
 
-    def dual_value(self, eta: Covector) -> float:
+    def dual_value(self, eta: Covector) -> float | np.ndarray:
+        """The dual norm of ``eta``, of shape (..., dim), with the stack
+        contract of :meth:`value`."""
         raise NotImplementedError
 
     # gradient of the dual energy --------------------------------------
@@ -203,9 +232,11 @@ class EuclideanNorm(Norm):
     def __init__(self, dim: int):
         self.dim = int(dim)
 
+    @_rowwise
     def value(self, v):
         return float(np.linalg.norm(np.asarray(v, dtype=float)))
 
+    @_rowwise
     def dual_value(self, eta):
         return float(np.linalg.norm(np.asarray(eta, dtype=float)))
 
@@ -271,10 +302,12 @@ class SumNorm(PolyhedralNorm):
         super().__init__(l1_ball(int(dim)))
 
     def value(self, v):
-        return float(np.sum(np.abs(np.asarray(v, dtype=float))))
+        out = np.sum(np.abs(np.asarray(v, dtype=float)), axis=-1)
+        return out if out.ndim else float(out)
 
     def dual_value(self, eta):
-        return float(np.max(np.abs(np.asarray(eta, dtype=float))))
+        out = np.max(np.abs(np.asarray(eta, dtype=float)), axis=-1)
+        return out if out.ndim else float(out)
 
     def params_dict(self):
         return {}
@@ -293,10 +326,12 @@ class MaxNorm(PolyhedralNorm):
         super().__init__(linf_ball(int(dim)))
 
     def value(self, v):
-        return float(np.max(np.abs(np.asarray(v, dtype=float))))
+        out = np.max(np.abs(np.asarray(v, dtype=float)), axis=-1)
+        return out if out.ndim else float(out)
 
     def dual_value(self, eta):
-        return float(np.sum(np.abs(np.asarray(eta, dtype=float))))
+        out = np.sum(np.abs(np.asarray(eta, dtype=float)), axis=-1)
+        return out if out.ndim else float(out)
 
     def params_dict(self):
         return {}
@@ -333,13 +368,16 @@ class CornerNorm(Norm):
         h = off.pop(self.axis)
         return h, off, math.hypot(*off)
 
+    @_rowwise
     def value(self, v):
         v = np.asarray(v, dtype=float)
         return self._split(v)[2] + math.hypot(*v.tolist())
 
+    @_rowwise
     def dual_value(self, eta):
         h, _, k = self._split(eta)
-        if abs(h) >= k:
+        # k == 0 with a NaN h reads NaN, not a division by zero.
+        if abs(h) >= k or k == 0.0:
             return abs(h)
         return (h * h + k * k) / (2.0 * k)
 
@@ -430,6 +468,7 @@ class RootSumNorm(Norm):
     def __init__(self, dim: int):
         self.dim = int(dim)
 
+    @_rowwise
     def value(self, v):
         v = np.asarray(v, dtype=float)
         n1 = float(np.sum(np.abs(v)))
@@ -438,8 +477,10 @@ class RootSumNorm(Norm):
 
     def _threshold(self, eta: np.ndarray) -> float:
         a = np.sort(np.abs(eta))[::-1]
-        if a[0] == 0.0:
-            return 0.0
+        # The zero covector needs no scan, and neither does a NaN entry,
+        # which sorts first: the threshold is NaN.
+        if not a[0] > 0.0:
+            return float(a[0])
         top = 0.0
         for j in range(1, len(a) + 1):
             top += a[j - 1]
@@ -449,6 +490,7 @@ class RootSumNorm(Norm):
                 return float(s)
         raise NormError("threshold scan failed")  # pragma: no cover
 
+    @_rowwise
     def dual_value(self, eta):
         eta = np.asarray(eta, dtype=float)
         s = self._threshold(eta)

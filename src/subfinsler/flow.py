@@ -678,13 +678,12 @@ def check_constant_speed(traj: Trajectory) -> dict:
 
     The control norm and the dual norm of the dual point both stay at
     the curve speed; the allowed drift is ``SPEED_SLACK_FACTOR * step``.
+    Each gauge is called once, on the whole stack of nodes.
     """
     r = traj.speed
     # np.max, unlike max, propagates NaN, so a NaN run is not ok.
-    control_dev = np.max([abs(traj.norm.value(u) - r)
-                          for u in traj.controls])
-    dual_dev = np.max([abs(traj.norm.dual_value(xi) - r)
-                       for xi in traj.duals])
+    control_dev = np.max(np.abs(traj.norm.value(traj.controls) - r))
+    dual_dev = np.max(np.abs(traj.norm.dual_value(traj.duals) - r))
     allowed = SPEED_SLACK_FACTOR * traj.step
     return {
         "speed": r,

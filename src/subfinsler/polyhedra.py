@@ -162,13 +162,19 @@ class Polyhedron:
 
     # -- gauge and dual gauge ----------------------------------------
 
-    def value(self, v: np.ndarray) -> float:
-        """Gauge of the ball: max of the functionals at ``v``."""
-        return float(np.max(self.functionals @ np.asarray(v, dtype=float)))
+    def value(self, v: np.ndarray) -> float | np.ndarray:
+        """Gauge of the ball: max of the functionals at ``v``.
 
-    def dual_value(self, eta: np.ndarray) -> float:
-        """Support function of the ball: max of ``eta`` over the vertices."""
-        return float(np.max(self.vertices @ np.asarray(eta, dtype=float)))
+        ``v`` has shape (..., dim): one vector gives a float, a stack an
+        array of its leading shape, in one matrix product."""
+        out = np.max(np.asarray(v, dtype=float) @ self.functionals.T, axis=-1)
+        return out if out.ndim else float(out)
+
+    def dual_value(self, eta: np.ndarray) -> float | np.ndarray:
+        """Support function of the ball: max of ``eta`` over the vertices,
+        on ``eta`` of shape (..., dim) as :meth:`value`."""
+        out = np.max(np.asarray(eta, dtype=float) @ self.vertices.T, axis=-1)
+        return out if out.ndim else float(out)
 
     # -- face lattice ------------------------------------------------
 

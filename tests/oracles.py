@@ -11,6 +11,7 @@ own ball.  The sum and
 max norm subdifferentials have closed forms, spelled out coordinate by
 coordinate.  The maximal disjoint pairs of dual faces come from a scan
 over all pairs of pairs, and dual points from explicit conjugation.
+The speed law is checked node by node, one gauge call per node.
 
 The exhaustive star-covering bound and the isoperimetrix switch times
 are shared with the benchmark's checks: the tests import them from
@@ -294,3 +295,12 @@ def dual_point_by_conjugation(basis: np.ndarray, lam: np.ndarray,
     eye = np.eye(len(basis))
     return np.array([lam @ adjoint_by_conjugation(basis, g, eye[j])
                      for j in polarization])
+
+
+def speed_deviations_by_node(traj) -> tuple[float, float]:
+    """max |N(u_k) - r| and max |N*(xi_k) - r| over the grid nodes of a
+    trajectory of speed r, with one one-vector gauge call per node."""
+    r = traj.speed
+    control = np.max([abs(traj.norm.value(u) - r) for u in traj.controls])
+    dual = np.max([abs(traj.norm.dual_value(xi) - r) for xi in traj.duals])
+    return float(control), float(dual)

@@ -257,6 +257,18 @@ def test_branch_without_partner_exits_2(tmp_path, capsys):
     assert "covector_b or reference_direction" in capsys.readouterr().err
 
 
+def test_branch_partner_of_an_overflowing_curve_exits_2(tmp_path, capsys):
+    # The first curve overflows at t = 0.71, so a run that integrated it
+    # before reading the partner exited 3.
+    src = tmp_path / "steep.json"
+    src.write_text(json.dumps({
+        "name": "steep", "group": "affine_line",
+        "norm": {"family": "corner", "dim": 2}, "covector": [0.0, 1000.0],
+        "covector_b": [1.0], "t_end": 1.0, "step": 0.01}))
+    assert run("branch", "--config", src, "--out", tmp_path / "out") == 2
+    assert "covector needs 2 coordinates" in capsys.readouterr().err
+
+
 def test_degenerate_covector_exits_3(tmp_path, capsys):
     # Covector vanishing on the polarization: no admissible control.
     src = tmp_path / "degenerate.json"
@@ -269,10 +281,10 @@ def test_degenerate_covector_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def _heisenberg_scenario(path, family, dim, covector):
+def _heisenberg_scenario(path, family, dim, covector, **extra):
     scenario = {"name": "overflow", "group": "heisenberg",
                 "norm": {"family": family, "dim": dim},
-                "covector": covector, "t_end": 0.1, "step": 0.01}
+                "covector": covector, "t_end": 0.1, "step": 0.01, **extra}
     if dim == 2:
         scenario["polarization"] = [0, 1]
     path.write_text(json.dumps(scenario))
@@ -342,7 +354,10 @@ def test_numerical_failure_prints_one_line_in_a_subprocess(tmp_path):
 ])
 def test_overflowing_covector_exits_3(tmp_path, capsys, command, family,
                                       dim, covector):
-    src = _heisenberg_scenario(tmp_path / "run.json", family, dim, covector)
+    # A branch needs its partner curve before it integrates either one.
+    partner = {"covector_b": covector} if command == "branch" else {}
+    src = _heisenberg_scenario(tmp_path / "run.json", family, dim, covector,
+                               **partner)
     assert run(command, "--config", src, "--out", tmp_path / "out") == 3
     assert "numerical failure:" in capsys.readouterr().err
 
@@ -470,6 +485,10 @@ BAD_VALUES = {
                            []),
     "string_covector_b_entry": ("branch", {"covector_b": [0.3, "a", 0.8]},
                                 []),
+    "short_covector_b": ("branch", {"covector_b": [0.3, -0.5]}, []),
+    "long_covector_b": ("branch", {"covector_b": [0.3, -0.5, 0.8, 1.0]},
+                        []),
+    "branch_without_partner": ("branch", {}, []),
     "null_reference_direction_entry": (
         "branch", {"reference_direction": [1.0, None]}, []),
     "short_reference_direction": (
@@ -493,7 +512,13 @@ BAD_VALUES = {
 
 
 @pytest.mark.parametrize("case", sorted(BAD_VALUES))
-def test_bad_scenario_values_exit_2(tmp_path, capsys, case):
+def test_bad_scenario_values_exit_2(tmp_path, capsys, monkeypatch, case):
+    # Every bad value is reported before any curve is integrated.
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrated before the inputs were checked")
+
+    monkeypatch.setattr(cli.flow, "integrate", refuse)
+    monkeypatch.setattr(cli.flow, "subgroup_trajectory", refuse)
     command, changes, extra = BAD_VALUES[case]
     scenario = {"name": "bad", "group": "heisenberg", "polarization": [0, 1],
                 "norm": {"family": "linf", "dim": 2},

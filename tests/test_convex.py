@@ -66,42 +66,93 @@ def special_points(dim):
 # -- frozen values -----------------------------------------------------
 
 
+# (norm, vector, value, absolute tolerance)
+FROZEN_VALUES = [
+    (EuclideanNorm(2), [3.0, 4.0], 5.0, 0.0),
+    (SumNorm(3), [1.0, -2.0, 3.0], 6.0, 0.0),
+    (MaxNorm(3), [1.0, -2.0, 3.0], 3.0, 0.0),
+    (CornerNorm(), [1.0, 0.0], 2.0, 0.0),
+    (CornerNorm(), [0.0, 1.0], 1.0, 0.0),
+    (CornerNorm(), [3.0, 4.0], 8.0, 0.0),
+    (AxisCornerNorm(), [1.0, 0.0, 0.0], 1.0, 0.0),
+    (AxisCornerNorm(), [0.0, 3.0, 4.0], 10.0, 0.0),
+    (RootSumNorm(2), [1.0, 0.0], math.sqrt(2.0), 1e-15),
+    (RootSumNorm(2), [1.0, 1.0], math.sqrt(6.0), 1e-15),
+    (PolyhedralNorm(regular_polygon_ball(6)), [1.0, 0.0], 1.0, 1e-12),
+    (PolyhedralNorm(regular_polygon_ball(6)), [0.0, 1.0],
+     2.0 / math.sqrt(3.0), 1e-12),
+]
+
+FROZEN_DUAL_VALUES = [
+    (EuclideanNorm(2), [3.0, 4.0], 5.0, 0.0),
+    (SumNorm(3), [1.0, -2.0, 3.0], 3.0, 0.0),
+    (MaxNorm(3), [1.0, -2.0, 3.0], 6.0, 0.0),
+    # Corner norm: flat dual piece |eta_y| above the diagonal, parabolic
+    # piece below it.
+    (CornerNorm(), [0.5, 1.0], 1.0, 0.0),
+    (CornerNorm(), [1.0, 0.5], 0.625, 0.0),
+    (CornerNorm(), [2.0, 0.0], 1.0, 0.0),
+    (AxisCornerNorm(), [1.0, 0.2, -0.3], 1.0, 0.0),
+    (AxisCornerNorm(), [0.0, 3.0, 4.0], 2.5, 0.0),
+    (RootSumNorm(3), [2.0, 0.3, 0.4], math.sqrt(2.0), 1e-15),
+    (PolyhedralNorm(regular_polygon_ball(6)), [1.0, 0.0], 1.0, 1e-12),
+    (PolyhedralNorm(regular_polygon_ball(6)), [0.0, 1.0],
+     math.sqrt(3.0) / 2.0, 1e-12),
+]
+
+
+def _assert_frozen(gauge, v, expected, tol):
+    """One vector gives the frozen float; a (2, 3, dim) stack of it gives
+    the frozen value in every entry."""
+    got = gauge(v)
+    assert type(got) is float
+    assert abs(got - expected) <= tol
+    stacked = gauge(np.tile(v, (2, 3, 1)))
+    assert stacked.shape == (2, 3)
+    assert np.all(np.abs(stacked - expected) <= tol)
+
+
 def test_values_frozen():
-    assert EuclideanNorm(2).value([3.0, 4.0]) == 5.0
-    assert SumNorm(3).value([1.0, -2.0, 3.0]) == 6.0
-    assert MaxNorm(3).value([1.0, -2.0, 3.0]) == 3.0
-    assert CornerNorm().value([1.0, 0.0]) == 2.0
-    assert CornerNorm().value([0.0, 1.0]) == 1.0
-    assert CornerNorm().value([3.0, 4.0]) == 8.0
-    assert AxisCornerNorm().value([1.0, 0.0, 0.0]) == 1.0
-    assert AxisCornerNorm().value([0.0, 3.0, 4.0]) == 10.0
-    assert RootSumNorm(2).value([1.0, 0.0]) == pytest.approx(math.sqrt(2.0),
-                                                             abs=1e-15)
-    assert RootSumNorm(2).value([1.0, 1.0]) == pytest.approx(math.sqrt(6.0),
-                                                             abs=1e-15)
-    hexagon = PolyhedralNorm(regular_polygon_ball(6))
-    assert hexagon.value([1.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
-    assert hexagon.value([0.0, 1.0]) == pytest.approx(2.0 / math.sqrt(3.0),
-                                                      abs=1e-12)
+    for norm, v, expected, tol in FROZEN_VALUES:
+        _assert_frozen(norm.value, v, expected, tol)
 
 
 def test_dual_values_frozen():
-    assert EuclideanNorm(2).dual_value([3.0, 4.0]) == 5.0
-    assert SumNorm(3).dual_value([1.0, -2.0, 3.0]) == 3.0
-    assert MaxNorm(3).dual_value([1.0, -2.0, 3.0]) == 6.0
-    # Corner norm: flat dual piece |eta_y| above the diagonal, parabolic
-    # piece below it.
-    assert CornerNorm().dual_value([0.5, 1.0]) == 1.0
-    assert CornerNorm().dual_value([1.0, 0.5]) == 0.625
-    assert CornerNorm().dual_value([2.0, 0.0]) == 1.0
-    assert AxisCornerNorm().dual_value([1.0, 0.2, -0.3]) == 1.0
-    assert AxisCornerNorm().dual_value([0.0, 3.0, 4.0]) == 2.5
-    assert RootSumNorm(3).dual_value([2.0, 0.3, 0.4]) == pytest.approx(
-        math.sqrt(2.0), abs=1e-15)
-    hexagon = PolyhedralNorm(regular_polygon_ball(6))
-    assert hexagon.dual_value([1.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
-    assert hexagon.dual_value([0.0, 1.0]) == pytest.approx(
-        math.sqrt(3.0) / 2.0, abs=1e-12)
+    for norm, eta, expected, tol in FROZEN_DUAL_VALUES:
+        _assert_frozen(norm.dual_value, eta, expected, tol)
+
+
+@pytest.mark.parametrize("gauge", ["value", "dual_value"])
+@pytest.mark.parametrize("shape", [(5,), (2, 4)])
+def test_stacked_gauges_match_each_row(any_norm, rng, gauge, shape):
+    fn = getattr(any_norm, gauge)
+    stack = rng.standard_normal((*shape, any_norm.dim))
+    stack *= 10.0 ** rng.uniform(-3.0, 3.0, (*shape, 1))
+    out = fn(stack)
+    assert isinstance(out, np.ndarray) and out.shape == shape
+    for idx in np.ndindex(shape):
+        row = fn(stack[idx])
+        assert type(row) is float
+        assert abs(out[idx] - row) <= 4.0 * np.finfo(float).eps * row
+    # A NaN row spoils its own entry and no other.
+    first = (0,) * len(shape)
+    stack[first] = np.nan
+    spoiled = fn(stack)
+    assert math.isnan(spoiled[first])
+    rest = np.ones(shape, dtype=bool)
+    rest[first] = False
+    assert np.array_equal(spoiled[rest], out[rest])
+    # Stacks of no rows give empty arrays.
+    assert fn(np.zeros((0, any_norm.dim))).shape == (0,)
+
+
+@pytest.mark.parametrize("gauge", ["value", "dual_value"])
+def test_one_nan_coordinate_gives_nan(any_norm, gauge):
+    # Each coordinate alone, the others zero: the corner norms' dual
+    # used to divide by the zero off-axis length.
+    rows = np.where(np.eye(any_norm.dim) > 0.0, np.nan, 0.0)
+    out = getattr(any_norm, gauge)(rows)
+    assert np.all(np.isnan(out))
 
 
 def test_convexity_classes_frozen():

@@ -36,10 +36,11 @@ from subfinsler import (
     write_trajectory_csv,
 )
 from subfinsler import flow, groups
+from subfinsler.cli import load_scenario
 from subfinsler.groups import exp as group_exp
 from subfinsler.polyhedra import Polyhedron, linf_ball, regular_polygon_ball
 
-from oracles import dual_point_by_conjugation
+from oracles import dual_point_by_conjugation, speed_deviations_by_node
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -634,6 +635,56 @@ def test_check_constant_speed_flags_drift():
     spoiled = check_constant_speed(traj)
     assert not spoiled["ok"]
     assert spoiled["control_deviation"] >= 0.4
+
+
+def _assert_speed_check_matches_the_nodes(traj):
+    control, dual = speed_deviations_by_node(traj)
+    check = check_constant_speed(traj)
+    tol = 4.0 * np.finfo(float).eps * traj.speed
+    assert abs(check["control_deviation"] - control) <= tol
+    assert abs(check["dual_deviation"] - dual) <= tol
+
+
+@pytest.mark.parametrize("name", ["heisenberg_vertical", "abelian_l1",
+                                  "abelian_euclidean"])
+def test_speed_check_matches_the_node_oracle_on_bundled_runs(name):
+    cfg = load_scenario(name)
+    spec = cfg.build_group()
+    traj = flow.integrate(spec, cfg.build_norm(), cfg.covector, cfg.t_end,
+                          cfg.step, polarization=cfg.pol(spec), rule=cfg.rule)
+    _assert_speed_check_matches_the_nodes(traj)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2**32 - 1), pairs=st.integers(2, 6),
+       lam3=st.floats(0.5, 4.0))
+def test_speed_check_matches_the_node_oracle_on_polygons(seed, pairs, lam3):
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(0.0, 2.0 * math.pi)
+    traj = integrate_polyhedral(
+        heisenberg_group(), PolyhedralNorm(_random_polygon(rng, pairs)),
+        [math.cos(angle), math.sin(angle), lam3], 2.0, 1e-2,
+        polarization=(0, 1))
+    _assert_speed_check_matches_the_nodes(traj)
+
+
+@pytest.mark.parametrize("norm", [MaxNorm(2), SumNorm(2),
+                                  PolyhedralNorm(regular_polygon_ball(6))],
+                         ids=["linf", "l1", "hexagon"])
+def test_speed_check_calls_each_gauge_once(monkeypatch, norm):
+    traj = integrate_polyhedral(heisenberg_group(), norm, [0.3, 0.5, 0.8],
+                                3.0, 1e-2, polarization=(0, 1))
+    calls = {"value": 0, "dual_value": 0}
+    for name in calls:
+        method = getattr(type(norm), name)
+
+        def counted(self, v, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, v)
+
+        monkeypatch.setattr(type(norm), name, counted)
+    assert check_constant_speed(traj)["ok"]
+    assert calls == {"value": 1, "dual_value": 1}
 
 
 # -- CSV round trip ------------------------------------------------------------
