@@ -401,7 +401,8 @@ class CornerNorm(Norm):
 
     def grad_dual_energy(self, eta):
         h, off, k = self._split(eta)
-        if abs(h) >= k:
+        # As in dual_value: k == 0 with a NaN h reads NaN.
+        if abs(h) >= k or k == 0.0:
             out = [0.0] * len(off)
             out.insert(self.axis, h)
             return np.array(out)

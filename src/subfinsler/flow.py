@@ -11,9 +11,10 @@ along the curve together with the pairing ``<xi, u> = r**2``.
 
 Two integrators are provided, and :func:`integrate` picks the one a
 norm needs.  Both walk exact subgroup arcs wherever the control is
-constant: the grid nodes of an arc are one stacked closed-form
-evaluation (:func:`arc`, which also gives :func:`subgroup_trajectory`
-its nodes), and the arc ends at a root solved to rounding.
+constant: the grid nodes of an arc are stacked closed-form evaluations
+(:func:`arc`, which also gives :func:`subgroup_trajectory` its nodes),
+and one scan, :func:`_scan_arc`, walks them until a switching function
+of the dual point says the arc exits, and solves the exit to rounding.
 :func:`integrate_smooth` handles norms with single-valued dual
 gradients.  On a corner cone of the norm the control is constant, as
 on a polytope face, and the arc ends where the dual point leaves the
@@ -21,7 +22,7 @@ cone; elsewhere a fourth-order Runge-Kutta step on the chart matrix
 advances the curve, recording crossings between smooth regimes of the
 dual energy by bisection.  :func:`integrate_polyhedral` handles
 polytope balls: between face events the maximizing control is
-constant, and each face switch is the root of a gap between vertex
+constant, and each face switch is the exit of a gap between vertex
 supports.  The face after a switch is read off the dual point's
 velocity, so an instant pass through a lower face is one event.  Faces
 are compared only at grid nodes: a visit that starts and ends within
@@ -227,25 +228,72 @@ def arc(spec: groups.GroupSpec, lam: np.ndarray, u_v: np.ndarray, s,
     return pts, groups.coadjoint_dual_point(spec, lam, pts, polarization)
 
 
-def _arc_root(value, lo: tuple[float, float], hi: tuple[float, float],
-              what: str, t0: float) -> float:
-    """The root of ``value(s)`` between the scanned arc offsets ``lo``
-    and ``hi``, given as ``(s, value)`` pairs, solved to rounding.
+def _scan_arc(spec: groups.GroupSpec, lam: np.ndarray,
+              polarization: tuple[int, ...], g: np.ndarray | None,
+              u_v: np.ndarray, t0: float, xi0: np.ndarray, switch,
+              what: str, times: np.ndarray, points: np.ndarray,
+              duals: np.ndarray, controls: np.ndarray, k: int, span: int
+              ) -> tuple[float | None, int]:
+    """Walk the :func:`arc` of the held control ``u_v`` from ``g`` at
+    time ``t0``, where the dual point is ``xi0``, filling ``points``,
+    ``duals`` and ``controls`` from node ``k`` on until the arc exits.
 
-    The bracket ends keep the values the scan saw.  A failed solve
-    raises IntegrationError at ``t0 + lo[0]``, for an arc from ``t0``.
+    The nodes are evaluated in windows of ``span`` nodes that double,
+    and the stacked switching function ``switch`` on their dual points.
+    The arc exits at the first sample strictly above zero after a
+    negative value, the start's or a node's: a start on a tie holds
+    until the value has been negative, and a value that touches zero
+    and turns negative again does not end the arc.  The sample before
+    the exit, at or below zero, is the low end of the bracket, and
+    ``brentq`` solves the exit to rounding on the arc's dual point; the
+    bracket ends keep the values the scan saw.
+
+    Returns the exit's offset from ``t0`` (None if the arc reaches the
+    end of the grid) and the node after the last one filled, which is
+    the last node at or before the exit.  Raises IntegrationError at
+    the first node whose dual point or switching value is not finite,
+    and, naming ``what``, at the low end if ``brentq`` fails.
     """
-    def probe(s: float) -> float:
-        for end_s, end_value in (lo, hi):
-            if s == end_s:
-                return end_value
-        return value(s)
+    lo = (0.0, float(switch(xi0)))
+    armed = lo[1] < 0.0
+    while k < len(times):
+        s = times[k:k + span] - t0
+        pts, xis = arc(spec, lam, u_v, s, polarization, g)
+        sw = switch(xis)
+        finite = np.isfinite(xis).all(axis=-1) & np.isfinite(sw)
+        armed_at = np.logical_or.accumulate(sw < 0.0) | armed
+        ends = np.nonzero(~finite | ((sw > 0.0) & armed_at))[0]
+        keep = int(ends[0]) if len(ends) else len(s)
+        if keep < len(s) and not finite[keep]:
+            raise IntegrationError("dual point is not finite",
+                                   times[k + keep])
+        if keep:
+            lo = (float(s[keep - 1]), float(sw[keep - 1]))
+        root = None
+        if keep < len(s):
+            hi = (float(s[keep]), float(sw[keep]))
 
-    try:
-        return brentq(probe, lo[0], hi[0], xtol=_ROOT_XTOL, rtol=_ROOT_RTOL)
-    except RuntimeError as exc:
-        raise IntegrationError(f"{what} not solved ({exc})",
-                               t0 + lo[0]) from exc
+            def value(s_: float) -> float:
+                for end_s, end_value in (lo, hi):
+                    if s_ == end_s:
+                        return end_value
+                return float(switch(arc(spec, lam, u_v, s_, polarization,
+                                        g)[1]))
+
+            try:
+                root = brentq(value, lo[0], hi[0], xtol=_ROOT_XTOL,
+                              rtol=_ROOT_RTOL)
+            except RuntimeError as exc:
+                raise IntegrationError(f"{what} not solved ({exc})",
+                                       t0 + lo[0]) from exc
+            keep = int(np.searchsorted(s, root, side="right"))
+        points[k:k + keep], duals[k:k + keep] = pts[:keep], xis[:keep]
+        controls[k:k + keep] = u_v
+        k += keep
+        if root is not None:
+            return root, k
+        armed, span = bool(armed_at[-1]), 2 * span
+    return None, k
 
 
 def whole_steps(t_end: float, step: float) -> int:
@@ -275,13 +323,12 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
 
     On a corner cone of the norm (:meth:`~subfinsler.convex.Norm.corner_cone`)
     the control is constant, so a node strictly inside one holds its
-    control and the following nodes lie on the closed-form :func:`arc`,
-    evaluated in windows that double.  The first node whose switching
-    value is not negative brackets the exit, which ``brentq`` solves to
-    rounding on the arc's dual point.  The exit is one event at the
-    root, from the cone's regime to the first different regime after
-    it, if the curve reaches one before the horizon or the cone again.
-    An arc from the identity gives nodes that are exactly ``exp(t_k u)``.
+    control and :func:`_scan_arc` fills the following nodes on its
+    closed-form arc until the cone's switching function exits.  The
+    exit is one event at the root, from the cone's regime to the first
+    different regime after it, if the curve reaches one before the
+    horizon or the cone again.  An arc from the identity gives nodes
+    that are exactly ``exp(t_k u)``.
 
     Off the cones, fourth-order Runge-Kutta on the chart matrix, with a
     partial first step from a cone exit to the next grid node.  Regime
@@ -372,49 +419,21 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
         exit_t = None
         u, t0 = controls[i].copy(), times[i]
         g = None if i == 0 else points[i]
-        lo = (0.0, float(switch(duals[i])))
-        k, span = i + 1, 1
-        while k <= n_steps:
-            stop = min(k + span, n_steps + 1)
-            s = times[k:stop] - t0
-            pts, xis = arc(spec, lam, u, s, pol, g)
-            sw = switch(xis)
-            finite = np.isfinite(xis).all(axis=-1) & np.isfinite(sw)
-            ends = np.nonzero(~finite | (sw >= 0.0))[0]
-            keep = int(ends[0]) if len(ends) else len(s)
-            if keep < len(s) and not finite[keep]:
-                raise IntegrationError("dual point is not finite",
-                                       times[k + keep])
-            if keep:
-                lo = (float(s[keep - 1]), float(sw[keep - 1]))
-            exits = keep < len(s)
-            if exits:
-                hi = (float(s[keep]), float(sw[keep]))
-                root = _arc_root(
-                    lambda s_: float(switch(arc(spec, lam, u, s_, pol,
-                                                g)[1])),
-                    lo, hi, "cone exit", t0)
-                keep = int(np.searchsorted(s, root, side="right"))
-            points[k:k + keep], duals[k:k + keep] = pts[:keep], xis[:keep]
-            controls[k:k + keep] = u
-            k += keep
-            if not exits:
-                span *= 2
-                continue
-            last = k - 1
-            exit_t = t0 + root
-            if last == n_steps:
-                break
-            if root == times[last] - t0:
-                # The exit is a grid node: step on from it.
-                rk4_node(last, points[last], u, times[last], step)
-            else:
-                g_exit = arc(spec, lam, u, root, pol, g)[0]
-                u_exit = control(g_exit, exit_t)[0]
-                rk4_node(last, g_exit, u_exit, exit_t,
-                         times[last + 1] - exit_t)
-            return last + 1
-        return k - 1
+        root, k = _scan_arc(spec, lam, pol, g, u, t0, duals[i], switch,
+                            "cone exit", times, points, duals, controls,
+                            i + 1, 1)
+        last = k - 1
+        if root is None or last == n_steps:
+            return last
+        exit_t = t0 + root
+        if root == times[last] - t0:
+            # The exit is a grid node: step on from it.
+            rk4_node(last, points[last], u, times[last], step)
+        else:
+            g_exit = arc(spec, lam, u, root, pol, g)[0]
+            u_exit = control(g_exit, exit_t)[0]
+            rk4_node(last, g_exit, u_exit, exit_t, times[last + 1] - exit_t)
+        return last + 1
 
     i = 0
     while i < n_steps:
@@ -459,21 +478,20 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
     """Integrate the normal flow of a polytope velocity ball.
 
     Between face events the control ``u`` is constant, so the curve is
-    a chain of closed-form subgroup arcs ``g_seg exp(s U)``.  The grid
-    nodes of an arc are evaluated in stacks, in windows that start at
-    the previous arc's node count and double.  The face ``F`` holds
-    while the outsider gap
+    a chain of closed-form subgroup arcs ``g_seg exp(s U)``.  Each arc
+    is walked by :func:`_scan_arc`, whose first window is the previous
+    arc's node count, on the outsider gap of the face ``F``
 
-        h(s) = max_{j not in F} v_j . xi(s) - max_{j in F} v_j . xi(s)
+        h(s) = max_{j not in F} v_j . xi(s) - max_{j in F} v_j . xi(s),
 
-    stays below zero; the first node where ``h`` turns positive after a
-    negative sample brackets the switch, which ``brentq`` solves to
-    rounding.  The face after a switch is the subface of the touching
-    face that the dual point's velocity (:func:`dual_derivative`, under
-    the current control) exposes, reselecting the control until face
-    and control agree; so an instant pass through a lower face (vertex,
-    edge, vertex) is one event, and event times increase strictly.  A
-    start face that splits at once gives an event at t = 0, and
+    so the face holds until ``h`` exceeds zero after a negative value,
+    and a tie left by the previous switch is not a switch again.  The
+    face after a switch is the subface of the touching face that the
+    dual point's velocity (:func:`dual_derivative`, under the current
+    control) exposes, reselecting the control until face and control
+    agree; so an instant pass through a lower face (vertex, edge,
+    vertex) is one event, and event times increase strictly.  A start
+    face that splits at once gives an event at t = 0, and
     ``controls[0]`` holds the control the curve leaves with.
 
     Faces are still compared only at grid nodes: a visit that starts
@@ -544,55 +562,27 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
             return (np.max(vals[..., ~members], axis=-1)
                     - np.max(vals[..., members], axis=-1))
 
-        # The last sample below the tie; a gap that starts at or above
-        # zero (a tie left behind by the previous event) is not a switch
-        # until it has been negative.
-        h0 = float(gap(xi))
-        lo = (0.0, h0) if h0 < 0.0 else None
         first = k
-        while k <= n_steps:
-            stop = min(k + span, n_steps + 1)
-            s = times[k:stop] - t_seg
-            pts, xis = arc(spec, lam, u, s, pol, g)
-            h = gap(xis)
-            if not np.isfinite(h).all():
-                raise IntegrationError("dual point overflows", times[k])
-            neg = h < 0.0
-            hits = np.nonzero((h > 0.0) & (np.logical_or.accumulate(neg)
-                                           | (lo is not None)))[0]
-            keep = int(hits[0]) if len(hits) else len(s)
-            below = np.nonzero(neg[:keep])[0]
-            if len(below):
-                lo = (float(s[below[-1]]), float(h[below[-1]]))
-            if len(hits):
-                hi = (float(s[keep]), float(h[keep]))
-
-                root = _arc_root(
-                    lambda s_: float(gap(arc(spec, lam, u, s_, pol, g)[1])),
-                    lo, hi, "face switch", t_seg)
-                keep = int(np.searchsorted(s, root, side="right"))
-            points[k:k + keep], duals[k:k + keep] = pts[:keep], xis[:keep]
-            controls[k:k + keep], face_ids[k:k + keep] = u, face.fid
-            k += keep
-            if not len(hits):
-                span *= 2
-                continue
-            g, xi = arc(spec, lam, u, root, pol, g)
-            t_next = t_seg + root
-            touch = poly.face_of(xi)
-            new_face, u, support = face_after(touch, t_next, g, u, support,
-                                              face)
-            if new_face.fid != face.fid:
-                events.append(FaceEvent(t_next, face.fid, new_face.fid))
-                if len(events) > MAX_SWITCHES:
-                    raise FaceThrashError(events)
-            elif t_next == t_seg:
-                # Rounding stalled the arc: the same state would repeat.
-                raise IntegrationError("a face switch advanced neither "
-                                       "time nor face", t_seg)
-            face, t_seg = new_face, t_next
-            span = max(k - first, 1)
+        root, k = _scan_arc(spec, lam, pol, g, u, t_seg, xi, gap,
+                            "face switch", times, points, duals, controls,
+                            k, span)
+        face_ids[first:k] = face.fid
+        if root is None:
             break
+        g, xi = arc(spec, lam, u, root, pol, g)
+        t_next = t_seg + root
+        touch = poly.face_of(xi)
+        new_face, u, support = face_after(touch, t_next, g, u, support, face)
+        if new_face.fid != face.fid:
+            events.append(FaceEvent(t_next, face.fid, new_face.fid))
+            if len(events) > MAX_SWITCHES:
+                raise FaceThrashError(events)
+        elif t_next == t_seg:
+            # Rounding stalled the arc: the same state would repeat.
+            raise IntegrationError("a face switch advanced neither "
+                                   "time nor face", t_seg)
+        face, t_seg = new_face, t_next
+        span = max(k - first, 1)
 
     return Trajectory(group=spec, norm=norm, polarization=pol, lam=lam,
                       times=times, points=points, controls=controls,

@@ -153,6 +153,10 @@ def test_one_nan_coordinate_gives_nan(any_norm, gauge):
     rows = np.where(np.eye(any_norm.dim) > 0.0, np.nan, 0.0)
     out = getattr(any_norm, gauge)(rows)
     assert np.all(np.isnan(out))
+    # The gradient of the dual energy takes one row at a time.
+    if gauge == "dual_value" and any_norm.convexity_class != "polyhedral":
+        for row in rows:
+            assert np.isnan(any_norm.grad_dual_energy(row)).any()
 
 
 def test_convexity_classes_frozen():

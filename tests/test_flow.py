@@ -127,8 +127,21 @@ def test_root_sum_pair_exits_at_the_linear_root():
     traj = integrate_smooth(heisenberg_group(), RootSumNorm(3),
                             [2.0, 0.3, 0.4], 3.0, 1e-3)
     [event] = traj.events
-    assert abs(event.t - (1.0 - 0.3) / 0.4) <= 1e-12
+    # The switching value is exactly 0 on that node, and the exit is it.
+    assert event.t == 1.75
     assert (event.from_face, event.to_face) == (22, 25)
+
+
+def test_gap_that_rounds_to_zero_is_no_face_switch():
+    # The outsider gap is negative at first and rounds to exactly 0 from
+    # node 70 (t = 3.5) on; only a gap above 0 is a switch, so the face
+    # and its control hold to the horizon.
+    traj = integrate_polyhedral(affine_line_group(), MaxNorm(2),
+                                [1.0559317189966513, -8.893457116714849],
+                                17.75, 0.05)
+    assert traj.events == []
+    assert np.array_equal(traj.controls,
+                          np.tile(traj.controls[0], (len(traj.times), 1)))
 
 
 @pytest.mark.parametrize("lam", [[1.0, 0.2, -0.3], [1.0, -0.25, 0.1]])
@@ -228,7 +241,7 @@ def test_degenerate_covector_raises():
     (heisenberg_group(), EuclideanNorm(2), [0.3, 0.5, 1e308], 0.1, 0.01,
      (0, 1), "dual point is not finite"),
     (affine_line_group(), MaxNorm(2), [7.8, 26445.6], 2.0, 0.5, None,
-     "dual point overflows"),
+     "dual point is not finite at t=0.5"),
     # Only the chart overflows; the dual point stays put.
     (heisenberg_group(), CornerNorm(), [0.0, 0.0, 1e308], 10.0, 1.0,
      (0, 2), "chart point is not finite"),
@@ -239,6 +252,12 @@ def test_degenerate_covector_raises():
     # and wrong.
     (affine_line_group(), CornerNorm(), [0.0, 1000.0], 1.0, 0.01, None,
      "dual point is not finite at t=0.71"),
+    # The face arcs stay finite to t = 17.9; t = 18 is the first node
+    # that overflows.
+    (affine_line_group(),
+     PolyhedralNorm(regular_polygon_ball(8, 0.9669719061665745)),
+     [93.88052906289462, 199.19178435750567], 37.7, 0.1, None,
+     "dual point is not finite at t=18"),
 ])
 def test_overflowing_run_raises(spec, norm, lam, t_end, step, pol,
                                 message):
