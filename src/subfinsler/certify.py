@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.special import lambertw
 
 from . import convex, flow, groups
 from .polyhedra import Polyhedron
@@ -132,6 +130,7 @@ def adjoint_bracket_bound(spec: groups.GroupSpec, radius: float,
     """
     pol = spec.polarization if polarization is None else tuple(polarization)
     structure = spec.structure
+    from scipy.linalg import qr
     q, r, _ = qr(structure.reshape(-1, spec.dim).T, mode="economic",
                  pivoting=True)
     pivots = np.abs(np.diag(r))
@@ -263,6 +262,7 @@ def finsler_short_bound(delta: float, bracket: float, rate: float) -> float:
         return math.inf
     if rate == 0.0:
         return delta / bracket
+    from scipy.special import lambertw
     return float(lambertw(delta * rate / bracket).real) / rate
 
 

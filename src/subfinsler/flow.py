@@ -45,7 +45,6 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import convex, groups
 from .polyhedra import Polyhedron
@@ -54,7 +53,7 @@ from .polyhedra import Polyhedron
 # regime-crossing bisection.
 EVENT_WIDTH_FACTOR = 1e-3
 # Face switches and cone exits on arcs are root-solved to rounding: the
-# least relative tolerance brentq accepts, and no absolute floor.
+# least relative tolerance scipy's brentq accepts, and no absolute floor.
 _ROOT_RTOL = 4.0 * np.finfo(float).eps
 _ROOT_XTOL = np.finfo(float).tiny
 # Dual points with dual norm at or below this are treated as degenerate.
@@ -226,6 +225,76 @@ def arc(spec: groups.GroupSpec, lam: np.ndarray, u_v: np.ndarray, s,
     if g is not None:
         pts = g @ pts
     return pts, groups.coadjoint_dual_point(spec, lam, pts, polarization)
+
+
+def _probe(f, x: float) -> float:
+    """``f(x)`` as a float; RuntimeError if it is NaN."""
+    fx = float(f(x))
+    if math.isnan(fx):
+        raise RuntimeError(f"the function value at x={x!r} is NaN")
+    return fx
+
+
+def brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+           maxiter: int = 100) -> float:
+    """A root of ``f`` in the bracket ``[xa, xb]`` by Brent's method.
+
+    A line-for-line port of scipy's ``brentq`` (Brent, *Algorithms for
+    Minimization Without Derivatives*, 1973, ch. 4): the same steps,
+    tolerances and result, bit for bit, without importing scipy.
+    Returns as soon as a probe is exactly zero or the bracket is below
+    ``xtol + rtol * |x|``.  Raises ValueError if the ends do not
+    bracket a sign change, and RuntimeError at a NaN probe or when
+    ``maxiter`` iterations do not converge.
+    """
+    xtol, rtol = float(xtol), float(rtol)
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = _probe(f, xpre), _probe(f, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            # Where C divides by zero its step is inf or NaN, which the
+            # test below rejects as it rejects this inf.
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            # good short step
+            spre, scur = scur, stry
+        else:
+            # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0
+                                                 else -delta)
+        fcur = _probe(f, xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _scan_arc(spec: groups.GroupSpec, lam: np.ndarray,

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
 
 # Vertices must support their functionals at exactly one.
 CONSISTENCY_TOL = 1e-12
@@ -33,6 +31,20 @@ _DEDUP_DECIMALS = 12
 
 class PolyhedronError(ValueError):
     """Raised when input data does not describe a symmetric unit ball."""
+
+
+# scipy is imported on the first hull or LP, so a run that needs
+# neither never loads it.
+def ConvexHull(points: np.ndarray):
+    """``scipy.spatial.ConvexHull(points)``."""
+    from scipy.spatial import ConvexHull as hull
+    return hull(points)
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog(*args, **kwargs)``."""
+    from scipy.optimize import linprog as solve
+    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -87,6 +99,7 @@ def _extreme_and_facets(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ext = np.array([[-m], [m]])
         fns = np.array([[-1.0 / m], [1.0 / m]])
         return ext, fns
+    from scipy.spatial import QhullError
     try:
         hull = ConvexHull(pts)
     except QhullError as exc:
@@ -386,14 +399,25 @@ class StarCovering:
 
 def l1_ball(dim: int) -> Polyhedron:
     """Cross-polytope unit ball of the sum-of-absolute-values norm."""
-    eye = np.eye(dim)
-    return Polyhedron.from_vertices(np.vstack([eye, -eye]))
+    return Polyhedron(_canonical_rows(_signed_axes(dim)),
+                      _canonical_rows(_sign_corners(dim)))
 
 
 def linf_ball(dim: int) -> Polyhedron:
     """Cube unit ball of the max-coordinate norm."""
-    corners = np.array(np.meshgrid(*([[-1.0, 1.0]] * dim))).reshape(dim, -1).T
-    return Polyhedron.from_vertices(corners)
+    return Polyhedron(_canonical_rows(_sign_corners(dim)),
+                      _canonical_rows(_signed_axes(dim)))
+
+
+def _signed_axes(dim: int) -> np.ndarray:
+    """The ``2 dim`` points ``±e_i``."""
+    eye = np.eye(dim)
+    return np.vstack([eye, -eye])
+
+
+def _sign_corners(dim: int) -> np.ndarray:
+    """The ``2**dim`` points with every coordinate ``±1``."""
+    return np.array(np.meshgrid(*([[-1.0, 1.0]] * dim))).reshape(dim, -1).T
 
 
 def regular_polygon_ball(sides: int, phase: float = 0.0) -> Polyhedron:

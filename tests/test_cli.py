@@ -554,3 +554,45 @@ def test_rerun_is_byte_identical(tmp_path):
                   "heisenberg_vertical_meta.json"):
         assert (dir_a / fname).read_bytes() == (dir_b / fname).read_bytes()
 
+
+# -- imports ---------------------------------------------------------------------
+
+# Imports the package, runs each command in turn and prints the exit
+# code and the scipy modules loaded so far; certify runs last, since
+# its LPs need scipy.
+COLD_RUNS = """
+import json, sys
+import subfinsler
+from subfinsler import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+print(json.dumps(["import", 0, scipy_modules()]))
+for command, scenario in json.loads(sys.argv[2]):
+    code = cli.main([command, "--config", scenario, "--out", sys.argv[1],
+                     "--quiet"])
+    print(json.dumps([command + " " + scenario, code, scipy_modules()]))
+"""
+
+NUMPY_ONLY_RUNS = [("integrate", "heisenberg_vertical"),
+                   ("branch", "affine_corner_pair"),
+                   ("branch", "heisenberg_rootsum_pair"),
+                   ("shortcut", "heisenberg_shortcut")]
+
+
+def test_curve_commands_load_no_scipy_in_a_subprocess(tmp_path):
+    runs = NUMPY_ONLY_RUNS + [("certify", "heisenberg_carnot")]
+    package_root = Path(subfinsler.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_RUNS, str(tmp_path), json.dumps(runs)],
+        capture_output=True, text=True, timeout=120, env=env, check=True)
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [name for name, _, _ in lines] == (
+        ["import"] + [f"{c} {s}" for c, s in runs])
+    for name, code, loaded in lines[:-1]:
+        assert (name, code, loaded) == (name, 0, [])
+    _, code, loaded = lines[-1]
+    assert code == 0
+    assert "scipy.optimize" in loaded

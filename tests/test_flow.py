@@ -446,6 +446,93 @@ def test_nonlinear_gap_events_are_exact_ties(name):
             assert vertex @ xi == pytest.approx(traj.speed, abs=1e-12)
 
 
+def _probed(f, probes):
+    def g(s):
+        probes.append(s)
+        return f(s)
+    return g
+
+
+def _flat_then_steep(s):
+    return max(-1.0, math.expm1(40.0 * (s - 0.7)))
+
+
+def _underflowing(s):
+    # Each probe is a nonzero value whose pairwise products underflow
+    # to -0.0: a sign test by product would see no sign change.
+    return 1e-200 * ((s - 0.3) if s < 0.7 else (s - 0.3) ** 3)
+
+
+# Gaps of the forms a face switch takes along an arc (linear on the
+# Heisenberg group, exponential on affine_line, trigonometric on
+# rotation), roots at either end, a flat start and a steep end.
+BRENT_CASES = [
+    ("linear", lambda s: 0.7 * s - 0.3, 0.0, 1.0),
+    ("exponential", lambda s: 1.0 - 2.0 * math.exp(-1.3 * s), 0.0, 2.0),
+    ("trigonometric", lambda s: (0.2 - 0.5 * math.cos(2.5 * s)
+                                 + 0.3 * math.sin(2.5 * s)), 0.0, 1.0),
+    ("root at the low end", lambda s: s * (s + 1.0), 0.0, 1.0),
+    ("root at the high end", lambda s: s - 1.0, 0.0, 1.0),
+    ("flat then steep", _flat_then_steep, 0.0, 1.0),
+    ("underflowing", _underflowing, 0.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("name, f, a, b", BRENT_CASES,
+                         ids=[c[0] for c in BRENT_CASES])
+def test_brentq_port_matches_scipy_bitwise(name, f, a, b):
+    from scipy.optimize import brentq as scipy_brentq
+
+    assert f(a) <= 0.0 < f(b) or f(b) == 0.0
+    tols = {"xtol": flow._ROOT_XTOL, "rtol": flow._ROOT_RTOL}
+    ours, theirs = [], []
+    root = flow.brentq(_probed(f, ours), a, b, **tols)
+    assert root == scipy_brentq(_probed(f, theirs), a, b, **tols)
+    assert ours == theirs
+
+
+def test_brentq_port_fails_to_converge_like_scipy():
+    from scipy.optimize import brentq as scipy_brentq
+
+    tols = {"xtol": flow._ROOT_XTOL, "rtol": flow._ROOT_RTOL, "maxiter": 3}
+    f = BRENT_CASES[1][1]
+    with pytest.raises(RuntimeError) as ours:
+        flow.brentq(f, 0.0, 2.0, **tols)
+    with pytest.raises(RuntimeError) as theirs:
+        scipy_brentq(f, 0.0, 2.0, **tols)
+    assert str(ours.value) == str(theirs.value)
+
+
+def test_brentq_raises_runtime_error_at_a_nan_probe():
+    def f(s):
+        return s - 0.3 if s in (0.0, 1.0) else math.nan
+
+    with pytest.raises(RuntimeError, match="NaN"):
+        flow.brentq(f, 0.0, 1.0, flow._ROOT_XTOL, flow._ROOT_RTOL)
+
+
+def test_nan_switch_probe_is_an_integration_error():
+    # Finite at the grid nodes, NaN between them: the exit's bracket is
+    # found and its first probe stops the scan.
+    starts = []
+
+    def switch(xis):
+        if np.ndim(xis) == 2:
+            return xis[:, 1] - 0.55
+        starts.append(xis)
+        return xis[1] - 0.55 if len(starts) == 1 else math.nan
+
+    spec, lam, pol = heisenberg_group(), np.array([0.0, 0.0, 1.0]), (0, 1)
+    times = 0.1 * np.arange(11)
+    xi0 = coadjoint_dual_point(spec, lam, spec.identity(), pol)
+    n = len(times)
+    with pytest.raises(IntegrationError, match="face switch not solved"):
+        flow._scan_arc(spec, lam, pol, None, np.array([1.0, 0.0]), 0.0, xi0,
+                       switch, "face switch", times, np.empty((n, 3, 3)),
+                       np.empty((n, 2)), np.empty((n, 2)), 1, 1)
+    assert len(starts) == 2
+
+
 def test_vanishing_center_covector_needs_no_root_solve(monkeypatch):
     # lam3 = 0: the dual point is constant, so the face never changes.
     def no_root(*args, **kwargs):

@@ -1,5 +1,6 @@
 """Polytope balls: construction, face lattice, star covering."""
 
+import itertools
 import sys
 from pathlib import Path
 
@@ -63,6 +64,31 @@ def test_from_functionals_square():
         np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]))
     assert sorted(map(tuple, square.vertices)) == [
         (-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (1.0, 1.0)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_closed_form_balls_match_their_hulls(monkeypatch, dim):
+    eye = np.eye(dim)
+    corners = np.array(list(itertools.product((-1.0, 1.0), repeat=dim)))
+    cross_hull = Polyhedron.from_vertices(np.vstack([eye, -eye]))
+    cube_hull = Polyhedron.from_vertices(corners)
+
+    def no_hull(points):
+        raise AssertionError("ConvexHull called")
+
+    monkeypatch.setattr(polyhedra, "ConvexHull", no_hull)
+    cross, cube = l1_ball(dim), linf_ball(dim)
+    for ball, hull in ((cross, cross_hull), (cube, cube_hull)):
+        # Equal arrays: the hull's zeros carry Qhull's arbitrary signs.
+        assert np.array_equal(ball.vertices, hull.vertices)
+        assert np.array_equal(ball.functionals, hull.functionals)
+        assert ball._facet_sets == hull._facet_sets
+        assert ([(f.vertex_ids, f.facets) for f in ball.faces()]
+                == [(f.vertex_ids, f.facets) for f in hull.faces()])
+    # The two balls are polar: each one's vertices are the other's
+    # functionals, bit for bit.
+    assert cross.vertices.tobytes() == cube.functionals.tobytes()
+    assert cube.vertices.tobytes() == cross.functionals.tobytes()
 
 
 def test_canonical_vertex_order_is_input_independent(rng):
