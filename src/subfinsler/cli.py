@@ -325,8 +325,8 @@ def _cmd_shortcut(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
     _write_json(out / f"{cfg.name}_shortcut.json", payload)
     with open(out / f"{cfg.name}_shortcut.csv", "w", newline="\n") as handle:
         handle.write("t,x1,x2,x3\n")
-        for t, g in zip(path.times, path.points):
-            handle.write(f"{t!r},{g[0, 1]!r},{g[1, 2]!r},{g[0, 2]!r}\n")
+        for t, g in zip(path.times.tolist(), path.points.tolist()):
+            handle.write(f"{t!r},{g[0][1]!r},{g[1][2]!r},{g[0][2]!r}\n")
     # The endpoint's central entry is about eps, so the gap is relative.
     if path.endpoint_gap > 1e-9 * cfg.eps:
         raise flow.FlowError("shortcut endpoint missed the target")

@@ -23,8 +23,9 @@ across representations.
 Every polytope norm is a :class:`PolyhedralNorm` that owns its
 :class:`~subfinsler.polyhedra.Polyhedron`, and there the two
 subdifferentials are read off the ball: active functionals for ``E``,
-the exposed face for ``E*``.  The sum and max norms add closed-form
-gauges on top of the cross-polytope and the cube.
+the exposed face for ``E*``, and the gauges are one matrix product
+with the functionals or the vertices.  The sum and max norms are the
+cross-polytope and the cube under their own family names.
 """
 
 from __future__ import annotations
@@ -236,9 +237,8 @@ class EuclideanNorm(Norm):
     def value(self, v):
         return float(np.linalg.norm(np.asarray(v, dtype=float)))
 
-    @_rowwise
-    def dual_value(self, eta):
-        return float(np.linalg.norm(np.asarray(eta, dtype=float)))
+    # The round ball is its own polar.
+    dual_value = value
 
     def grad_dual_energy(self, eta):
         return np.array(eta, dtype=float)
@@ -291,8 +291,8 @@ class PolyhedralNorm(Norm):
 class SumNorm(PolyhedralNorm):
     """Sum of absolute coordinates; dual to the max norm.
 
-    The unit ball is the cross-polytope.  The gauges are closed forms;
-    the subdifferentials are the polytope ones, and the ball needs no
+    The unit ball is the cross-polytope, whose gauges and
+    subdifferentials are the polytope ones; the ball needs no
     parameters to rebuild, so ``params`` serializes empty.
     """
 
@@ -301,14 +301,6 @@ class SumNorm(PolyhedralNorm):
     def __init__(self, dim: int):
         super().__init__(l1_ball(int(dim)))
 
-    def value(self, v):
-        out = np.sum(np.abs(np.asarray(v, dtype=float)), axis=-1)
-        return out if out.ndim else float(out)
-
-    def dual_value(self, eta):
-        out = np.max(np.abs(np.asarray(eta, dtype=float)), axis=-1)
-        return out if out.ndim else float(out)
-
     def params_dict(self):
         return {}
 
@@ -316,22 +308,14 @@ class SumNorm(PolyhedralNorm):
 class MaxNorm(PolyhedralNorm):
     """Largest absolute coordinate; dual to the sum norm.
 
-    The unit ball is the cube; as for :class:`SumNorm`, only the gauges
-    are closed forms.
+    The unit ball is the cube; as for :class:`SumNorm`, everything but
+    the family name and the empty ``params`` is the polytope norm's.
     """
 
     family = "linf"
 
     def __init__(self, dim: int):
         super().__init__(linf_ball(int(dim)))
-
-    def value(self, v):
-        out = np.max(np.abs(np.asarray(v, dtype=float)), axis=-1)
-        return out if out.ndim else float(out)
-
-    def dual_value(self, eta):
-        out = np.sum(np.abs(np.asarray(eta, dtype=float)), axis=-1)
-        return out if out.ndim else float(out)
 
     def params_dict(self):
         return {}

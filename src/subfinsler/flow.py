@@ -18,18 +18,19 @@ of the dual point says the arc exits, and solves the exit to rounding.
 :func:`integrate_smooth` handles norms with single-valued dual
 gradients.  On a corner cone of the norm the control is constant, as
 on a polytope face, and the arc ends where the dual point leaves the
-cone; elsewhere a fourth-order Runge-Kutta step on the chart matrix
-advances the curve, recording crossings between smooth regimes of the
-dual energy by bisection.  :func:`integrate_polyhedral` handles
-polytope balls: between face events the maximizing control is
-constant, and each face switch is the exit of a gap between vertex
-supports.  The face after a switch is read off the dual point's
-velocity, so an instant pass through a lower face is one event.  Faces
-are compared only at grid nodes: a visit that starts and ends within
-one step is not seen (on the Heisenberg group none can be, since the
-dual point moves in straight lines there).  Where the exposed face is
-set-valued a selection rule picks the control; several rules are
-provided because normal data does not determine the control there.
+cone: an event if the next node's regime differs.  Elsewhere a
+fourth-order Runge-Kutta step on the chart matrix advances the curve,
+recording crossings between smooth regimes of the dual energy by
+bisection.  :func:`integrate_polyhedral` handles polytope balls:
+between face events the maximizing control is constant, and each face
+switch is the exit of a gap between vertex supports.  The face after a
+switch is read off the dual point's velocity, so an instant pass
+through a lower face is one event.  Faces are compared only at grid
+nodes: a visit that starts and ends within one step is not seen (on
+the Heisenberg group none can be, since the dual point moves in
+straight lines there).  Where the exposed face is set-valued a
+selection rule picks the control; several rules are provided because
+normal data does not determine the control there.
 
 No curve has a non-finite node: a :class:`Trajectory` rejects a chart
 point that overflowed, the integrators reject a speed, dual point or
@@ -394,10 +395,9 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
     the control is constant, so a node strictly inside one holds its
     control and :func:`_scan_arc` fills the following nodes on its
     closed-form arc until the cone's switching function exits.  The
-    exit is one event at the root, from the cone's regime to the first
-    different regime after it, if the curve reaches one before the
-    horizon or the cone again.  An arc from the identity gives nodes
-    that are exactly ``exp(t_k u)``.
+    exit is one event at the root, from the cone's regime to the regime
+    of the first node after the exit, if that regime differs.  An arc
+    from the identity gives nodes that are exactly ``exp(t_k u)``.
 
     Off the cones, fourth-order Runge-Kutta on the chart matrix, with a
     partial first step from a cone exit to the next grid node.  Regime
@@ -444,22 +444,40 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
     controls[0], duals[0] = control(points[0], 0.0)
     events: list[FaceEvent] = []
     regime = norm.regime_id(duals[0])
-    # The time of a cone exit whose regime after it is not yet seen.
-    exit_t: float | None = None
 
-    def rk4_node(i: int, g: np.ndarray, u: np.ndarray, t: float, h: float
-                 ) -> None:
-        """Fill node ``i + 1`` by one step ``h`` from ``g`` at ``t``."""
-        nonlocal regime, exit_t
-        # The start's control is RK4's first stage, here and in the
-        # event bisection; the next node's control comes with its dual
-        # point from one evaluation.
+    i = 0
+    while i < n_steps:
+        # One RK4 step to node i + 1, from node i or from the exit of the
+        # cone arc that node i holds.
+        g, u, t, h = points[i], controls[i], times[i], step
+        exit_t = None
+        switch = norm.corner_cone(duals[i])
+        if switch is not None:
+            g0 = None if i == 0 else g
+            root, k = _scan_arc(spec, lam, pol, g0, u, t, duals[i], switch,
+                                "cone exit", times, points, duals, controls,
+                                i + 1, 1)
+            i = k - 1
+            if i == n_steps:
+                # The arc reaches the horizon, or exits on its last node.
+                break
+            exit_t = t + root
+            if root == times[i] - t:
+                # The exit is a grid node: step on from it.
+                g, t = points[i], times[i]
+            else:
+                g = arc(spec, lam, u, root, pol, g0)[0]
+                u, t, h = control(g, exit_t)[0], exit_t, times[i + 1] - exit_t
+        # The start's control is RK4's first stage, here and in the event
+        # bisection; the next node's control comes with its dual point
+        # from one evaluation.
         k1 = velocity(g, u)
         g_next = rk4(g, k1, t, h)
         controls[i + 1], duals[i + 1] = control(g_next, times[i + 1])
         new_regime = norm.regime_id(duals[i + 1])
         if new_regime != regime:
-            if exit_t is None:
+            t_event = exit_t
+            if t_event is None:
                 lo, hi = 0.0, h
                 width = EVENT_WIDTH_FACTOR * step
                 while hi - lo > width:
@@ -472,46 +490,10 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
                     else:
                         lo = mid
                 t_event = t + 0.5 * (lo + hi)
-            else:
-                t_event, exit_t = exit_t, None
             events.append(FaceEvent(t_event, regime, new_regime))
         regime = new_regime
         points[i + 1] = g_next
-
-    def walk_cone(i: int, switch) -> int:
-        """Fill the nodes after ``i`` on the arc of its held control.
-
-        Returns the last node filled: the end of the grid, or the first
-        node after the cone exit, reached by a partial RK4 step.
-        """
-        nonlocal exit_t
-        exit_t = None
-        u, t0 = controls[i].copy(), times[i]
-        g = None if i == 0 else points[i]
-        root, k = _scan_arc(spec, lam, pol, g, u, t0, duals[i], switch,
-                            "cone exit", times, points, duals, controls,
-                            i + 1, 1)
-        last = k - 1
-        if root is None or last == n_steps:
-            return last
-        exit_t = t0 + root
-        if root == times[last] - t0:
-            # The exit is a grid node: step on from it.
-            rk4_node(last, points[last], u, times[last], step)
-        else:
-            g_exit = arc(spec, lam, u, root, pol, g)[0]
-            u_exit = control(g_exit, exit_t)[0]
-            rk4_node(last, g_exit, u_exit, exit_t, times[last + 1] - exit_t)
-        return last + 1
-
-    i = 0
-    while i < n_steps:
-        switch = norm.corner_cone(duals[i])
-        if switch is None:
-            rk4_node(i, points[i], controls[i], times[i], step)
-            i += 1
-        else:
-            i = walk_cone(i, switch)
+        i += 1
 
     return Trajectory(group=spec, norm=norm, polarization=pol, lam=lam,
                       times=times, points=points, controls=controls,

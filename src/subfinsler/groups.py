@@ -76,23 +76,6 @@ class GroupSpec:
     def identity(self) -> GroupElement:
         return np.eye(self.matrix_size)
 
-    def to_json_dict(self) -> dict:
-        triples = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    c = self.structure[i, j, k]
-                    if c != 0.0:
-                        triples.append([int(i), int(j), int(k), float(c)])
-        return {
-            "name": self.name,
-            "dim": int(self.dim),
-            "polarization": [int(i) for i in self.polarization],
-            "basis": [[[float(x) for x in row] for row in mat]
-                      for mat in self.basis],
-            "structure_constants": triples,
-        }
-
 
 def to_matrix(spec: GroupSpec, coords: np.ndarray) -> np.ndarray:
     """Algebra coordinates to a matrix in the chart, shape (..., dim)."""

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import subfinsler
-from subfinsler import cli, convex
+from subfinsler import certify, cli, convex, flow
 from subfinsler.cli import ScenarioError, load_scenario, main
 
 
@@ -171,6 +171,19 @@ def test_shortcut_outputs(tmp_path):
     assert summary["endpoint_gap"] <= 1e-10
     csv = tmp_path / "heisenberg_shortcut_shortcut.csv"
     assert csv.read_text().splitlines()[0] == "t,x1,x2,x3"
+
+
+def test_shortcut_csv_reads_back_bitwise(tmp_path):
+    assert run("shortcut", "--config", "heisenberg_shortcut",
+               "--out", tmp_path, "--quiet") == 0
+    data = flow.read_trajectory_csv(tmp_path
+                                    / "heisenberg_shortcut_shortcut.csv")
+    path = certify.vertical_shortcut(load_scenario("heisenberg_shortcut").eps)
+    columns = {"t": path.times, "x1": path.points[:, 0, 1],
+               "x2": path.points[:, 1, 2], "x3": path.points[:, 0, 2]}
+    assert list(data) == list(columns)
+    for name, want in columns.items():
+        assert data[name].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e12])

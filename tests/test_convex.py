@@ -159,6 +159,32 @@ def test_one_nan_coordinate_gives_nan(any_norm, gauge):
             assert np.isnan(any_norm.grad_dual_energy(row)).any()
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("norm_cls, value_oracle, dual_oracle", [
+    (SumNorm, np.sum, np.max),
+    (MaxNorm, np.max, np.sum),
+], ids=["l1", "linf"])
+def test_sum_and_max_gauges_match_closed_forms(rng, dim, norm_cls,
+                                               value_oracle, dual_oracle):
+    # The polytope gauges equal the closed forms on |v| bit for bit, on
+    # stacks and on single vectors, up to the dimensions the groups use.
+    norm = norm_cls(dim)
+    stack = rng.standard_normal((2, 5, dim))
+    stack *= 10.0 ** rng.uniform(-3.0, 3.0, (2, 5, 1))
+    for gauge, oracle in ((norm.value, value_oracle),
+                          (norm.dual_value, dual_oracle)):
+        want = oracle(np.abs(stack), axis=-1)
+        assert gauge(stack).tobytes() == want.tobytes()
+        for idx in np.ndindex(2, 5):
+            got = gauge(stack[idx])
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want[idx].tobytes()
+        spoiled = stack.copy()
+        spoiled[0, 0] = np.nan
+        assert math.isnan(gauge(spoiled)[0, 0])
+        assert math.isnan(gauge(spoiled[0, 0]))
+
+
 def test_convexity_classes_frozen():
     tags = {name: mk().convexity_class for name, mk in ALL_NORMS}
     assert tags["euclidean2"] == "smooth-strongly-convex"

@@ -219,6 +219,31 @@ def test_smooth_control_is_the_dual_energy_gradient(spec, norm, lam, pol):
         assert np.array_equal(u, norm.grad_dual_energy(xi))
 
 
+@pytest.mark.parametrize("spec, norm, pol, lam_dim", [
+    (affine_line_group(), CornerNorm(), None, 2),
+    (heisenberg_group(), CornerNorm(), (0, 1), 3),
+    (heisenberg_group(), AxisCornerNorm(), None, 3),
+    (heisenberg_group(), RootSumNorm(2), (0, 1), 3),
+    (rotation_group(), RootSumNorm(3), None, 3),
+], ids=["corner_affine", "corner_heisenberg", "axis_corner_heisenberg",
+        "root_sum2_heisenberg", "root_sum3_rotation"])
+def test_smooth_events_agree_with_node_regimes(spec, norm, pol, lam_dim):
+    # Each event, bisected or a cone exit, sits between a node of its
+    # from-regime and the next node, of its to-regime.  (On the rotation
+    # group an axis_corner curve keeps its regime, so it has no events.)
+    rng = np.random.default_rng(5)
+    seen = 0
+    for _ in range(12):
+        lam = rng.standard_normal(lam_dim)
+        traj = integrate_smooth(spec, norm, lam, 3.0, 1e-2, polarization=pol)
+        for event in traj.events:
+            k = int(np.searchsorted(traj.times, event.t, side="right")) - 1
+            assert norm.regime_id(traj.duals[k]) == event.from_face
+            assert norm.regime_id(traj.duals[k + 1]) == event.to_face
+        seen += len(traj.events)
+    assert seen
+
+
 def test_smooth_rejects_polyhedral_norm():
     with pytest.raises(FlowError):
         integrate_smooth(translation_group(2), SumNorm(2), [1.0, 0.0],

@@ -334,14 +334,6 @@ def test_group_registry():
         group_by_name("nilpotent7")
 
 
-def test_group_json_dict():
-    data = heisenberg_group().to_json_dict()
-    assert data["dim"] == 3
-    assert data["polarization"] == [0, 1, 2]
-    assert [0, 1, 2, 1.0] in data["structure_constants"]
-    assert [1, 0, 2, -1.0] in data["structure_constants"]
-
-
 def test_translation_group_is_additive(rng):
     plane = translation_group(2)
     x = rng.standard_normal(2)
