@@ -51,7 +51,7 @@ def _is_index_list(value) -> bool:
     return (isinstance(value, list)
             and all(isinstance(i, int) and not isinstance(i, bool)
                     for i in value)
-            and len(set(value)) == len(value))
+            and 0 < len(set(value)) == len(value))
 
 
 def _is_finite_list(value) -> bool:
@@ -78,7 +78,8 @@ _VALUE_CHECKS = {
     "covector_b": (_or_null(_is_finite_list), "a list of finite numbers"),
     "reference_direction": (_or_null(_is_finite_list),
                             "a list of finite numbers"),
-    "polarization": (_or_null(_is_index_list), "a list of distinct integers"),
+    "polarization": (_or_null(_is_index_list),
+                     "a non-empty list of distinct integers"),
     "seed": (lambda v: isinstance(v, int) and not isinstance(v, bool),
              "an integer"),
     "abelianized": (lambda v: isinstance(v, bool), "true or false"),
@@ -140,33 +141,18 @@ class ScenarioConfig:
         except groups.GroupChartError as exc:
             raise ScenarioError(str(exc)) from exc
 
-    def build_norm(self) -> convex.Norm:
+    def build_norm(self, dim: int | None = None) -> convex.Norm:
+        """The scenario's norm, on ``dim`` directions if one is given."""
         # ValueError covers NormError, PolyhedronError and ragged arrays;
-        # TypeError covers fields of the wrong type, such as a null dim.
+        # TypeError covers fields of the wrong type, such as a list family.
         try:
-            return convex.norm_from_json(self.norm)
+            return convex.norm_from_json(self.norm, dim)
         except (KeyError, ValueError, TypeError) as exc:
             raise ScenarioError(f"bad norm spec: {exc}") from exc
 
     def build_norm_on(self, spec: groups.GroupSpec) -> convex.Norm:
-        """:meth:`build_norm`, checked against the polarization size.
-
-        The size is checked before the norm is built: the ``l1`` and
-        ``linf`` balls have ``2**dim`` facets or vertices.
-        """
-        size = len(self.pol(spec))
-        try:
-            dim = int(self.norm["dim"])
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ScenarioError(f"bad norm spec: dim: {exc}") from exc
-        if dim != size:
-            raise ScenarioError(f"bad norm spec: dim {dim} does not match "
-                                f"the {size} polarization directions")
-        norm = self.build_norm()
-        if norm.dim != size:
-            raise ScenarioError(f"bad norm spec: the ball has dimension "
-                                f"{norm.dim}, the polarization {size}")
-        return norm
+        """:meth:`build_norm` on the polarization's directions."""
+        return self.build_norm(len(self.pol(spec)))
 
     def pol(self, spec: groups.GroupSpec) -> tuple[int, ...]:
         if self.polarization is None:

@@ -342,10 +342,6 @@ class CornerNorm(Norm):
     dim = 2
     axis = 1
 
-    def __init__(self, dim: int | None = None):
-        if dim is not None and dim != self.dim:
-            raise NormError(f"{self.family} norm has dimension {self.dim}")
-
     def _split(self, eta) -> tuple[float, list[float], float]:
         """The axis coordinate, the other coordinates and their length."""
         off = np.asarray(eta, dtype=float).tolist()
@@ -527,28 +523,49 @@ class RootSumNorm(Norm):
 # Module-level operations
 
 
+# Family -> (builder from dim and params, the keys params must hold).
 _FAMILIES = {
-    "euclidean": lambda dim, params: EuclideanNorm(dim),
-    "l1": lambda dim, params: SumNorm(dim),
-    "linf": lambda dim, params: MaxNorm(dim),
-    "corner": lambda dim, params: CornerNorm(dim),
-    "axis_corner": lambda dim, params: AxisCornerNorm(dim),
-    "root_sum": lambda dim, params: RootSumNorm(dim),
-    "polyhedral": lambda dim, params: PolyhedralNorm(
-        Polyhedron.from_json_dict(params)),
+    "euclidean": (lambda dim, params: EuclideanNorm(dim), set()),
+    "l1": (lambda dim, params: SumNorm(dim), set()),
+    "linf": (lambda dim, params: MaxNorm(dim), set()),
+    "corner": (lambda dim, params: CornerNorm(), set()),
+    "axis_corner": (lambda dim, params: AxisCornerNorm(), set()),
+    "root_sum": (lambda dim, params: RootSumNorm(dim), set()),
+    "polyhedral": (lambda dim, params: PolyhedralNorm(
+        Polyhedron.from_json_dict(params)), {"functionals", "vertices"}),
 }
 
 
-def norm_from_json(data: dict) -> Norm:
-    """Instantiate a norm from ``{"family", "dim", "params"}``."""
-    family, dim = data["family"], int(data["dim"])
-    # Unpacking rejects a params value that is not a mapping.
-    params = dict(**data.get("params", {}))
+def norm_from_json(data: dict, dim: int | None = None) -> Norm:
+    """Instantiate a norm from ``{"family", "dim", "params"}``, the one
+    reader of a norm spec; raises NormError unless the spec is sound.
+
+    The spec's dim must be a positive integer, equal to ``dim`` (the
+    number of polarization directions) if one is given, before any ball
+    is built: the ``l1`` and ``linf`` balls have ``2**dim`` facets or
+    vertices.  ``params`` must hold exactly the family's keys, and the
+    norm built must have the spec's dim.
+    """
+    family, spec_dim = data["family"], data["dim"]
     try:
-        builder = _FAMILIES[family]
+        builder, keys = _FAMILIES[family]
     except KeyError:
         raise NormError(f"unknown norm family {family!r}") from None
-    return builder(dim, params)
+    if type(spec_dim) is not int or spec_dim < 1:  # refuses bools too
+        raise NormError(f"dim must be a positive integer, got {spec_dim!r}")
+    if dim is not None and spec_dim != dim:
+        raise NormError(f"dim {spec_dim} does not match the {dim} "
+                        f"polarization directions")
+    # Unpacking rejects a params value that is not a mapping.
+    params = dict(**data.get("params", {}))
+    if set(params) != keys:
+        raise NormError(f"{family} params must have the keys "
+                        f"{sorted(keys)}, got {sorted(params)}")
+    norm = builder(spec_dim, params)
+    if norm.dim != spec_dim:
+        raise NormError(f"the {family} ball has dimension {norm.dim}, "
+                        f"not dim {spec_dim}")
+    return norm
 
 
 def energy(norm: Norm, v: Vector) -> float:

@@ -199,10 +199,6 @@ def dual_derivative(spec: groups.GroupSpec, lam: np.ndarray, g: np.ndarray,
     return full[list(pol)]
 
 
-def _restrict(lam: np.ndarray, polarization: tuple[int, ...]) -> np.ndarray:
-    return np.asarray(lam, dtype=float)[list(polarization)]
-
-
 def _curve_speed(speed: float) -> float:
     """The dual norm of the restricted covector, checked to be usable."""
     if not DEGENERATE_DUAL_TOL < speed < math.inf:
@@ -303,7 +299,7 @@ def _scan_arc(spec: groups.GroupSpec, lam: np.ndarray,
               u_v: np.ndarray, t0: float, xi0: np.ndarray, switch,
               what: str, times: np.ndarray, points: np.ndarray,
               duals: np.ndarray, controls: np.ndarray, k: int, span: int
-              ) -> tuple[float | None, int]:
+              ) -> tuple[tuple[float, np.ndarray, np.ndarray] | None, int]:
     """Walk the :func:`arc` of the held control ``u_v`` from ``g`` at
     time ``t0``, where the dual point is ``xi0``, filling ``points``,
     ``duals`` and ``controls`` from node ``k`` on until the arc exits.
@@ -318,13 +314,15 @@ def _scan_arc(spec: groups.GroupSpec, lam: np.ndarray,
     ``brentq`` solves the exit to rounding on the arc's dual point; the
     bracket ends keep the values the scan saw.
 
-    Returns the exit's offset from ``t0`` (None if the arc reaches the
-    end of the grid) and the node after the last one filled, which is
-    the last node at or before the exit.  Raises IntegrationError at
-    the first node whose dual point or switching value is not finite,
-    and, naming ``what``, at the low end if ``brentq`` fails.
+    Returns the exit as its offset from ``t0`` with the chart and dual
+    points there (None if the arc reaches the end of the grid), and the
+    node after the last one filled, which is the last node at or before
+    the exit.  Raises IntegrationError at the first node whose dual
+    point or switching value is not finite, and, naming ``what``, at the
+    low end if ``brentq`` fails.
     """
-    lo = (0.0, float(switch(xi0)))
+    # The low end: offset, switching value, chart point, dual point.
+    lo = 0.0, float(switch(xi0)), spec.identity() if g is None else g, xi0
     armed = lo[1] < 0.0
     while k < len(times):
         s = times[k:k + span] - t0
@@ -338,20 +336,22 @@ def _scan_arc(spec: groups.GroupSpec, lam: np.ndarray,
             raise IntegrationError("dual point is not finite",
                                    times[k + keep])
         if keep:
-            lo = (float(s[keep - 1]), float(sw[keep - 1]))
+            lo = (float(s[keep - 1]), float(sw[keep - 1]), pts[keep - 1],
+                  xis[keep - 1])
         root = None
         if keep < len(s):
-            hi = (float(s[keep]), float(sw[keep]))
+            # Sample offset -> (switching value, chart point, dual point).
+            seen = {lo[0]: lo[1:],
+                    float(s[keep]): (float(sw[keep]), pts[keep], xis[keep])}
 
             def value(s_: float) -> float:
-                for end_s, end_value in (lo, hi):
-                    if s_ == end_s:
-                        return end_value
-                return float(switch(arc(spec, lam, u_v, s_, polarization,
-                                        g)[1]))
+                if s_ not in seen:
+                    pt, xi = arc(spec, lam, u_v, s_, polarization, g)
+                    seen[s_] = float(switch(xi)), pt, xi
+                return seen[s_][0]
 
             try:
-                root = brentq(value, lo[0], hi[0], xtol=_ROOT_XTOL,
+                root = brentq(value, lo[0], float(s[keep]), xtol=_ROOT_XTOL,
                               rtol=_ROOT_RTOL)
             except RuntimeError as exc:
                 raise IntegrationError(f"{what} not solved ({exc})",
@@ -361,7 +361,7 @@ def _scan_arc(spec: groups.GroupSpec, lam: np.ndarray,
         controls[k:k + keep] = u_v
         k += keep
         if root is not None:
-            return root, k
+            return (root, *seen[root][1:]), k
         armed, span = bool(armed_at[-1]), 2 * span
     return None, k
 
@@ -371,9 +371,12 @@ def whole_steps(t_end: float, step: float) -> int:
 
     Raises ValueError unless ``step`` is positive and ``t_end`` is a
     whole number of steps to a relative 1e-9, so no integrator silently
-    moves the horizon.
+    moves the horizon, and unless numpy can index that many steps.
     """
     steps = t_end / step if step > 0 else math.nan
+    if steps >= np.iinfo(np.intp).max:
+        raise ValueError(f"t_end {t_end!r} takes {steps:.6g} steps of "
+                         f"{step!r}, more than numpy can index")
     if not (math.isfinite(steps) and math.isclose(
             round(steps) * step, t_end, rel_tol=1e-9)):
         raise ValueError(f"t_end {t_end!r} is not a whole number of "
@@ -409,7 +412,7 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
         raise FlowError("polyhedral norms need the event-driven integrator")
     pol = spec.polarization if polarization is None else tuple(polarization)
     lam = np.asarray(lam, dtype=float)
-    speed = _curve_speed(norm.dual_value(_restrict(lam, pol)))
+    speed = _curve_speed(norm.dual_value(lam[list(pol)]))
     basis_v = spec.basis[list(pol)]
 
     def control(g: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -454,19 +457,19 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
         switch = norm.corner_cone(duals[i])
         if switch is not None:
             g0 = None if i == 0 else g
-            root, k = _scan_arc(spec, lam, pol, g0, u, t, duals[i], switch,
-                                "cone exit", times, points, duals, controls,
-                                i + 1, 1)
+            exit_at, k = _scan_arc(spec, lam, pol, g0, u, t, duals[i],
+                                   switch, "cone exit", times, points, duals,
+                                   controls, i + 1, 1)
             i = k - 1
             if i == n_steps:
                 # The arc reaches the horizon, or exits on its last node.
                 break
+            root, g = exit_at[:2]
             exit_t = t + root
             if root == times[i] - t:
                 # The exit is a grid node: step on from it.
-                g, t = points[i], times[i]
+                t = times[i]
             else:
-                g = arc(spec, lam, u, root, pol, g0)[0]
                 u, t, h = control(g, exit_t)[0], exit_t, times[i + 1] - exit_t
         # The start's control is RK4's first stage, here and in the event
         # bisection; the next node's control comes with its dual point
@@ -509,17 +512,11 @@ SELECTION_RULES = ("persistent", "barycenter", "min_vertex")
 
 
 def _select_control(poly: Polyhedron, face, speed: float, rule: str
-                    ) -> tuple[np.ndarray, frozenset[int]]:
-    """Pick a maximizing control in a face according to the rule.
-
-    Returns the control and the vertex ids supporting it; the support
-    is what the persistent rule watches to decide admissibility.
-    """
+                    ) -> np.ndarray:
+    """Pick a maximizing control in a face according to the rule."""
     if rule == "min_vertex":
-        pick = min(face.vertex_ids)
-        return speed * poly.vertices[pick], frozenset([pick])
-    mean = poly.vertices[list(face.vertex_ids)].mean(axis=0)
-    return speed * mean, face.vertex_set
+        return speed * poly.vertices[min(face.vertex_ids)]
+    return speed * poly.vertices[list(face.vertex_ids)].mean(axis=0)
 
 
 def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
@@ -555,15 +552,16 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
     poly = convex.as_polyhedron(norm)
     pol = spec.polarization if polarization is None else tuple(polarization)
     lam = np.asarray(lam, dtype=float)
-    speed = _curve_speed(poly.dual_value(_restrict(lam, pol)))
+    speed = _curve_speed(poly.dual_value(lam[list(pol)]))
 
-    def face_after(touch, t: float, g: np.ndarray, u: np.ndarray,
-                   support: frozenset[int], chosen):
-        """The face the dual point enters from ``touch``, with its control.
+    def face_after(touch, t: float, g: np.ndarray, u: np.ndarray, picked):
+        """The face the dual point enters from ``touch``, its control,
+        and the face ``picked`` that control was picked on.
 
-        ``chosen`` is the face the control ``u`` was selected on.  A
-        face whose control the rule does not keep gets a new control,
-        and the velocity is taken again under it.
+        The persistent rule keeps ``u`` on every face holding ``picked``,
+        the other rules only on ``picked``.  A face whose control the
+        rule does not keep gets a new one, and the velocity is taken
+        again under it.
         """
         tried: set[int] = set()
         while True:
@@ -571,15 +569,15 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
             if not np.isfinite(poly.vertices @ velocity).all():
                 raise IntegrationError("dual point velocity overflows", t)
             face = poly.subface(touch, velocity)
-            if face.fid == chosen.fid or (rule == "persistent"
-                                          and support <= face.vertex_set):
-                return face, u, support
+            if face.fid == picked.fid or (
+                    rule == "persistent"
+                    and picked.vertex_set <= face.vertex_set):
+                return face, u, picked
             if face.fid in tried:
                 raise IntegrationError("no face after the event keeps its "
                                        "own control", t)
             tried.add(face.fid)
-            u, support = _select_control(poly, face, speed, rule)
-            chosen = face
+            u, picked = _select_control(poly, face, speed, rule), face
 
     n_steps = whole_steps(t_end, step)
     times = step * np.arange(n_steps + 1)
@@ -592,8 +590,8 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
     g = spec.identity()
     xi = groups.coadjoint_dual_point(spec, lam, g, pol)
     touch = poly.face_of(xi)
-    u, support = _select_control(poly, touch, speed, rule)
-    face, u, support = face_after(touch, 0.0, g, u, support, touch)
+    u = _select_control(poly, touch, speed, rule)
+    face, u, picked = face_after(touch, 0.0, g, u, touch)
     events: list[FaceEvent] = []
     if face.fid != touch.fid:
         events.append(FaceEvent(0.0, touch.fid, face.fid))
@@ -614,16 +612,16 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
                     - np.max(vals[..., members], axis=-1))
 
         first = k
-        root, k = _scan_arc(spec, lam, pol, g, u, t_seg, xi, gap,
-                            "face switch", times, points, duals, controls,
-                            k, span)
+        exit_at, k = _scan_arc(spec, lam, pol, g, u, t_seg, xi, gap,
+                               "face switch", times, points, duals, controls,
+                               k, span)
         face_ids[first:k] = face.fid
-        if root is None:
+        if exit_at is None:
             break
-        g, xi = arc(spec, lam, u, root, pol, g)
+        root, g, xi = exit_at
         t_next = t_seg + root
         touch = poly.face_of(xi)
-        new_face, u, support = face_after(touch, t_next, g, u, support, face)
+        new_face, u, picked = face_after(touch, t_next, g, u, picked)
         if new_face.fid != face.fid:
             events.append(FaceEvent(t_next, face.fid, new_face.fid))
             if len(events) > MAX_SWITCHES:

