@@ -72,7 +72,6 @@ from .groups import (
 )
 from .flow import (
     BranchReport,
-    SELECTION_RULES,
     FaceEvent,
     FaceThrashError,
     FlowError,

@@ -72,8 +72,7 @@ _VALUE_CHECKS = {
     "t_end": (_is_positive, "positive and finite"),
     "window": (_or_null(_is_positive), "null or positive and finite"),
     "eps": (_or_null(_is_positive), "null or positive and finite"),
-    "rule": (lambda v: v in flow.SELECTION_RULES,
-             f"one of {list(flow.SELECTION_RULES)}"),
+    "rule": (lambda v: v == "persistent", "'persistent'"),
     "covector": (_or_null(_is_finite_list), "a list of finite numbers"),
     "covector_b": (_or_null(_is_finite_list), "a list of finite numbers"),
     "reference_direction": (_or_null(_is_finite_list),
@@ -90,9 +89,9 @@ _VALUE_CHECKS = {
 class ScenarioConfig:
     """One run: group, norm, covector(s), horizon, step, rule, seed;
     construction checks the values in ``_VALUE_CHECKS`` and that
-    ``t_end`` is a whole number of steps (exit 2).  ``seed`` is a
-    provenance label written into the ``integrate`` metadata; it
-    affects no number."""
+    ``t_end`` is a whole number of steps (exit 2).  ``rule`` (only
+    ``"persistent"``) and ``seed`` are labels; neither affects any
+    number, and ``seed`` is written into the ``integrate`` metadata."""
 
     name: str
     group: str
@@ -136,10 +135,13 @@ class ScenarioConfig:
             raise ScenarioError(str(exc)) from exc
 
     def build_group(self) -> groups.GroupSpec:
+        """The scenario's group, checked to hold the grid's chart points."""
         try:
-            return groups.group_by_name(self.group)
-        except groups.GroupChartError as exc:
+            spec = groups.group_by_name(self.group)
+            flow.whole_steps(self.t_end, self.step, spec.matrix_size)
+        except (groups.GroupChartError, ValueError) as exc:
             raise ScenarioError(str(exc)) from exc
+        return spec
 
     def build_norm(self, dim: int | None = None) -> convex.Norm:
         """The scenario's norm, on ``dim`` directions if one is given."""
@@ -210,7 +212,7 @@ def _curve(cfg: ScenarioConfig, spec: groups.GroupSpec, norm: convex.Norm,
     """The scenario's normal curve for the covector ``values``."""
     lam = _covector(spec, values)
     return flow.integrate(spec, norm, lam, cfg.t_end, cfg.step,
-                          polarization=cfg.pol(spec), rule=cfg.rule)
+                          polarization=cfg.pol(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +307,12 @@ def _cmd_shortcut(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
     """The Heisenberg vertical shortcut -> CSV + summary."""
     if cfg.eps is None:
         raise ScenarioError("shortcut scenario needs eps")
+    spec = cfg.build_group()
+    family, pol = cfg.build_norm_on(spec).family, cfg.pol(spec)
+    if (spec.name, family, pol) != ("heisenberg", "linf", (0, 1, 2)):
+        raise ScenarioError(f"shortcut runs on heisenberg under linf on "
+                            f"(0, 1, 2), got {spec.name} under {family} "
+                            f"on {pol}")
     path = certify.vertical_shortcut(cfg.eps)
     payload = path.to_json_dict()
     payload["scenario"] = cfg.name

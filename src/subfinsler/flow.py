@@ -28,9 +28,9 @@ switch is read off the dual point's velocity, so an instant pass
 through a lower face is one event.  Faces are compared only at grid
 nodes: a visit that starts and ends within one step is not seen (on
 the Heisenberg group none can be, since the dual point moves in
-straight lines there).  Where the exposed face is set-valued a
-selection rule picks the control; several rules are provided because
-normal data does not determine the control there.
+straight lines there).  Normal data does not determine the control on
+a set-valued face: the one selection rule picks the face's barycenter,
+scaled to the speed, and keeps it on every face containing that face.
 
 No curve has a non-finite node: a :class:`Trajectory` rejects a chart
 point that overflowed, the integrators reject a speed, dual point or
@@ -366,17 +366,20 @@ def _scan_arc(spec: groups.GroupSpec, lam: np.ndarray,
     return None, k
 
 
-def whole_steps(t_end: float, step: float) -> int:
+def whole_steps(t_end: float, step: float, size: int = 1) -> int:
     """The number of grid steps from 0 to ``t_end``.
 
     Raises ValueError unless ``step`` is positive and ``t_end`` is a
     whole number of steps to a relative 1e-9, so no integrator silently
-    moves the horizon, and unless numpy can index that many steps.
+    moves the horizon, and unless numpy can allocate the nodes: an
+    array holds at most ``np.iinfo(np.intp).max`` bytes, and the
+    largest node array is the ``size`` x ``size`` chart points, 8 bytes
+    an entry (``size`` 1 bounds the time grid alone).
     """
     steps = t_end / step if step > 0 else math.nan
-    if steps >= np.iinfo(np.intp).max:
+    if (steps + 1) * 8 * size * size > np.iinfo(np.intp).max:
         raise ValueError(f"t_end {t_end!r} takes {steps:.6g} steps of "
-                         f"{step!r}, more than numpy can index")
+                         f"{step!r}, more nodes than numpy can allocate")
     if not (math.isfinite(steps) and math.isclose(
             round(steps) * step, t_end, rel_tol=1e-9)):
         raise ValueError(f"t_end {t_end!r} is not a whole number of "
@@ -437,9 +440,9 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
         k4 = rhs(g + h * k3, t + h)
         return g + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    n_steps = whole_steps(t_end, step)
-    times = step * np.arange(n_steps + 1)
     size = spec.matrix_size
+    n_steps = whole_steps(t_end, step, size)
+    times = step * np.arange(n_steps + 1)
     points = np.empty((n_steps + 1, size, size))
     controls = np.empty((n_steps + 1, len(pol)))
     duals = np.empty((n_steps + 1, len(pol)))
@@ -508,21 +511,16 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
 # Polyhedral integrator
 
 
-SELECTION_RULES = ("persistent", "barycenter", "min_vertex")
-
-
-def _select_control(poly: Polyhedron, face, speed: float, rule: str
-                    ) -> np.ndarray:
-    """Pick a maximizing control in a face according to the rule."""
-    if rule == "min_vertex":
-        return speed * poly.vertices[min(face.vertex_ids)]
+def _select_control(poly: Polyhedron, face, speed: float) -> np.ndarray:
+    """The maximizing control picked in a face: ``speed`` times the
+    barycenter of its vertices."""
     return speed * poly.vertices[list(face.vertex_ids)].mean(axis=0)
 
 
 def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
                          lam: np.ndarray, t_end: float, step: float,
-                         polarization: tuple[int, ...] | None = None,
-                         rule: str = "persistent") -> Trajectory:
+                         polarization: tuple[int, ...] | None = None
+                         ) -> Trajectory:
     """Integrate the normal flow of a polytope velocity ball.
 
     Between face events the control ``u`` is constant, so the curve is
@@ -547,8 +545,6 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
     the Heisenberg group the dual point moves in a straight line along
     each arc, so every gap is linear in ``s`` and no visit can hide.
     """
-    if rule not in SELECTION_RULES:
-        raise FlowError(f"unknown selection rule {rule!r}")
     poly = convex.as_polyhedron(norm)
     pol = spec.polarization if polarization is None else tuple(polarization)
     lam = np.asarray(lam, dtype=float)
@@ -558,10 +554,9 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
         """The face the dual point enters from ``touch``, its control,
         and the face ``picked`` that control was picked on.
 
-        The persistent rule keeps ``u`` on every face holding ``picked``,
-        the other rules only on ``picked``.  A face whose control the
-        rule does not keep gets a new one, and the velocity is taken
-        again under it.
+        ``u`` is kept on every face that contains ``picked``; any other
+        face gets a control picked on it, and the velocity is taken
+        again under that control.
         """
         tried: set[int] = set()
         while True:
@@ -569,19 +564,17 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
             if not np.isfinite(poly.vertices @ velocity).all():
                 raise IntegrationError("dual point velocity overflows", t)
             face = poly.subface(touch, velocity)
-            if face.fid == picked.fid or (
-                    rule == "persistent"
-                    and picked.vertex_set <= face.vertex_set):
+            if picked.vertex_set <= face.vertex_set:
                 return face, u, picked
             if face.fid in tried:
                 raise IntegrationError("no face after the event keeps its "
                                        "own control", t)
             tried.add(face.fid)
-            u, picked = _select_control(poly, face, speed, rule), face
+            u, picked = _select_control(poly, face, speed), face
 
-    n_steps = whole_steps(t_end, step)
-    times = step * np.arange(n_steps + 1)
     size = spec.matrix_size
+    n_steps = whole_steps(t_end, step, size)
+    times = step * np.arange(n_steps + 1)
     points = np.empty((n_steps + 1, size, size))
     controls = np.empty((n_steps + 1, len(pol)))
     duals = np.empty((n_steps + 1, len(pol)))
@@ -590,7 +583,7 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
     g = spec.identity()
     xi = groups.coadjoint_dual_point(spec, lam, g, pol)
     touch = poly.face_of(xi)
-    u = _select_control(poly, touch, speed, rule)
+    u = _select_control(poly, touch, speed)
     face, u, picked = face_after(touch, 0.0, g, u, touch)
     events: list[FaceEvent] = []
     if face.fid != touch.fid:
@@ -636,24 +629,19 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
     return Trajectory(group=spec, norm=norm, polarization=pol, lam=lam,
                       times=times, points=points, controls=controls,
                       duals=duals, face_ids=face_ids, speed=speed,
-                      events=events, rule=rule, step=step)
+                      events=events, rule="persistent", step=step)
 
 
 def integrate(spec: groups.GroupSpec, norm: convex.Norm, lam: np.ndarray,
               t_end: float, step: float,
-              polarization: tuple[int, ...] | None = None,
-              rule: str = "persistent") -> Trajectory:
-    """Integrate a normal curve with the integrator its norm needs.
-
-    Polytope balls go to :func:`integrate_polyhedral` with the given
-    selection rule; every other norm goes to :func:`integrate_smooth`,
-    which has no rule.
-    """
-    if norm.convexity_class == "polyhedral":
-        return integrate_polyhedral(spec, norm, lam, t_end, step,
-                                    polarization=polarization, rule=rule)
-    return integrate_smooth(spec, norm, lam, t_end, step,
-                            polarization=polarization)
+              polarization: tuple[int, ...] | None = None) -> Trajectory:
+    """Integrate a normal curve with the integrator its norm needs:
+    :func:`integrate_polyhedral` for polytope balls,
+    :func:`integrate_smooth` for every other norm."""
+    integrator = (integrate_polyhedral
+                  if norm.convexity_class == "polyhedral"
+                  else integrate_smooth)
+    return integrator(spec, norm, lam, t_end, step, polarization)
 
 
 def subgroup_trajectory(spec: groups.GroupSpec, norm: convex.Norm,
@@ -671,7 +659,7 @@ def subgroup_trajectory(spec: groups.GroupSpec, norm: convex.Norm,
     lam = np.asarray(lam, dtype=float)
     direction = np.asarray(direction, dtype=float)
     speed = norm.value(direction)
-    n_steps = whole_steps(t_end, step)
+    n_steps = whole_steps(t_end, step, spec.matrix_size)
     times = step * np.arange(n_steps + 1)
     points, duals = arc(spec, lam, direction, times, pol)
     return Trajectory(group=spec, norm=norm, polarization=pol, lam=lam,

@@ -222,7 +222,7 @@ def test_shipped_scenarios_conserve_speed():
             covectors.append(cfg.covector_b)
         for lam in covectors:
             traj = integrate(spec, norm, lam, cfg.t_end, cfg.step,
-                             polarization=cfg.pol(spec), rule=cfg.rule)
+                             polarization=cfg.pol(spec))
             report = check_constant_speed(traj)  # slack is 10 * step
             assert report["control_deviation"] <= 10.0 * cfg.step, name
             assert report["dual_deviation"] <= 10.0 * cfg.step, name

@@ -523,9 +523,20 @@ BAD_VALUES = {
     "polarization_out_of_range": ("integrate", {"polarization": [0, 7]}, []),
     "repeated_polarization": ("integrate", {"polarization": [0, 0]}, []),
     "unknown_rule": ("integrate", {"rule": "sideways"}, []),
+    # persistent is the only selection rule; the key is a label.
+    "barycenter_rule": ("integrate", {"rule": "barycenter"}, []),
+    "min_vertex_rule": ("integrate", {"rule": "min_vertex"}, []),
     "negative_window": ("certify", {"window": -1.0}, []),
     "zero_window": ("certify", {"window": 0.0}, []),
     "negative_eps": ("shortcut", {"eps": -1.0}, []),
+    # The shortcut is the heisenberg path under linf on (0, 1, 2).
+    "shortcut_unknown_group": ("shortcut", {
+        "eps": 5.0, "group": "nosuchgroup", "polarization": None,
+        "norm": {"family": "linf", "dim": 3}}, []),
+    "shortcut_unknown_norm_family": ("shortcut", {
+        "eps": 5.0, "polarization": None,
+        "norm": {"family": "bogus", "dim": 7}}, []),
+    "shortcut_linf_on_two_directions": ("shortcut", {"eps": 5.0}, []),
     "name_with_separator": ("integrate", {"name": "sub/bad"}, []),
     "list_group": ("integrate", {"group": []}, []),
     "object_group": ("integrate", {"group": {}}, []),
@@ -553,9 +564,14 @@ BAD_VALUES = {
     # A norm of dim 0: the message must name the polarization.
     "empty_polarization": ("integrate", {
         "polarization": [], "norm": {"family": "euclidean", "dim": 0}}, []),
-    # Grids numpy cannot index; neither is allocated.
+    # Grids numpy cannot index or refuses to allocate on size; none is
+    # allocated.  At 2e18 nodes the times alone are too big, at 5e17
+    # only the 3 x 3 chart points are.
     "unindexable_horizon": ("integrate", {"t_end": 1e20, "step": 1}, []),
     "unindexable_step": ("integrate", {"t_end": 3, "step": 1e-300}, []),
+    "unallocatable_grid": ("integrate", {"t_end": 2e18, "step": 1}, []),
+    "unallocatable_chart_points": ("integrate",
+                                   {"t_end": 5e17, "step": 1}, []),
 }
 
 

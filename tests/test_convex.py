@@ -253,6 +253,17 @@ def test_subdiff_dual_energy_membership(any_norm, rng):
             assert abs(float(eta @ v) - nd * nd) <= 1e-9
 
 
+def test_polytope_subdiff_dual_energy_at_zero_is_the_origin():
+    # E*(0) = 0 is the minimum of E*, so its subdifferential is {0}.
+    for norm in (MaxNorm(3), SumNorm(2),
+                 PolyhedralNorm(regular_polygon_ball(6))):
+        sub = norm.subdiff_dual_energy(np.zeros(norm.dim))
+        assert sub.kind == "point"
+        assert np.array_equal(sub.point, np.zeros(norm.dim))
+        assert sub.contains(np.zeros(norm.dim))
+        assert not sub.contains(np.full(norm.dim, 0.1))
+
+
 def test_subdiff_scaling(any_norm, rng):
     # dE(t u) = t dE(u) for t > 0, by 2-homogeneity of the energy.
     for _ in range(6):

@@ -19,7 +19,6 @@ from subfinsler import (
     MaxNorm,
     PolyhedralNorm,
     RootSumNorm,
-    SELECTION_RULES,
     SumNorm,
     affine_line_group,
     check_constant_speed,
@@ -351,18 +350,11 @@ def test_first_event_time_frozen():
 def test_selection_rules_deterministic_and_valid():
     heis = heisenberg_group()
     lam = [0.3, 0.5, 0.8]
-    for rule in SELECTION_RULES:
-        one = integrate_polyhedral(heis, MaxNorm(3), lam, 2.0, 1e-2,
-                                   rule=rule)
-        two = integrate_polyhedral(heis, MaxNorm(3), lam, 2.0, 1e-2,
-                                   rule=rule)
-        assert np.array_equal(one.points, two.points)
-        assert np.array_equal(one.controls, two.controls)
-        assert check_constant_speed(one)["control_deviation"] <= 1e-12
-        if rule == "min_vertex":
-            assert np.allclose(np.abs(one.controls), one.speed, atol=1e-12)
-    with pytest.raises(FlowError):
-        integrate_polyhedral(heis, MaxNorm(3), lam, 1.0, 1e-2, rule="greedy")
+    one = integrate_polyhedral(heis, MaxNorm(3), lam, 2.0, 1e-2)
+    two = integrate_polyhedral(heis, MaxNorm(3), lam, 2.0, 1e-2)
+    assert np.array_equal(one.points, two.points)
+    assert np.array_equal(one.controls, two.controls)
+    assert check_constant_speed(one)["control_deviation"] <= 1e-12
 
 
 def test_face_thrash_guard(monkeypatch):
@@ -821,7 +813,7 @@ def test_speed_check_matches_the_node_oracle_on_bundled_runs(name):
     cfg = load_scenario(name)
     spec = cfg.build_group()
     traj = flow.integrate(spec, cfg.build_norm(), cfg.covector, cfg.t_end,
-                          cfg.step, polarization=cfg.pol(spec), rule=cfg.rule)
+                          cfg.step, polarization=cfg.pol(spec))
     _assert_speed_check_matches_the_nodes(traj)
 
 
@@ -924,3 +916,16 @@ def test_integrators_need_a_whole_number_of_steps(run):
     traj = run(0.09, 0.03)
     assert len(traj.times) == 4
     assert traj.meta_dict()["t_end"] == pytest.approx(0.09, rel=1e-12)
+
+
+@pytest.mark.parametrize("run", WHOLE_STEP_RUNS.values(),
+                         ids=WHOLE_STEP_RUNS.keys())
+def test_integrators_refuse_grids_numpy_cannot_allocate(run):
+    # 5e17 nodes of 3 x 3 chart points are 3.6e19 bytes, past the
+    # np.intp limit, while their times alone (4e18 bytes) are not; the
+    # refusal comes before any node array is allocated.
+    assert flow.whole_steps(5e17, 1.0) == 5 * 10**17
+    with pytest.raises(ValueError, match="more nodes than numpy can"):
+        flow.whole_steps(5e17, 1.0, heisenberg_group().matrix_size)
+    with pytest.raises(ValueError, match="more nodes than numpy can"):
+        run(5e17, 1.0)

@@ -218,11 +218,17 @@ def test_non_finite_support_values_raise(eta):
 
 
 def test_face_of_snaps_glued_active_sets():
-    # A covector within FACE_REL_TOL of a vertex functional activates
-    # several vertices whose hull is not a face; the smallest containing
-    # face comes back instead of an error.
+    # A covector within FACE_REL_TOL of the facet functional x0 = 1
+    # activates three of the facet's four vertices, whose hull is not a
+    # face; the smallest containing face, the facet, comes back instead
+    # of an error.
     cube = linf_ball(3)
-    eta = np.array([1.0, 1e-12, 1e-12])
+    eta = np.array([1.0, 4e-10, -4e-10])
+    vals = cube.vertices @ eta
+    top = vals.max() * (1.0 - polyhedra.FACE_REL_TOL)
+    active = frozenset(np.nonzero(vals >= top)[0])
+    assert len(active) == 3
+    assert active not in {f.vertex_set for f in cube.faces()}
     face = cube.face_of(eta)
     assert set(face.vertex_ids) == {
         i for i, v in enumerate(cube.vertices) if v[0] == 1.0}
