@@ -41,6 +41,7 @@ from .convex import (
     norm_from_json,
 )
 from .polyhedra import (
+    CoveringError,
     Face,
     Polyhedron,
     PolyhedronError,

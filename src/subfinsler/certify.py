@@ -117,7 +117,8 @@ def adjoint_bracket_bound(spec: groups.GroupSpec, radius: float,
     by the gauge of ``ball``.
 
     Brackets lie in the derived algebra ``D = [g, g]``, with orthonormal
-    basis ``Q`` from pivoted QR, and ``Ad_g`` preserves ``D``.  So
+    basis ``Q`` from an SVD of the structure constants, and ``Ad_g``
+    preserves ``D``.  So
     ``N(Ad_g Z) <= max_i |Q^T e_i|_2 * |Q^T Ad_g Q|_2 * |Z|_2``, and the
     Euclidean norm of a bracket of unit-cube vectors peaks at a pair of
     cube vertices, since the bracket is bilinear.  Along a curve
@@ -130,11 +131,11 @@ def adjoint_bracket_bound(spec: groups.GroupSpec, radius: float,
     """
     pol = spec.polarization if polarization is None else tuple(polarization)
     structure = spec.structure
-    from scipy.linalg import qr
-    q, r, _ = qr(structure.reshape(-1, spec.dim).T, mode="economic",
-                 pivoting=True)
-    pivots = np.abs(np.diag(r))
-    q = q[:, pivots > 1e-12 * pivots[0]]
+    # D is the range of the structure matrix and of its Gram matrix,
+    # whose SVD gives each bundled group's basis exactly.
+    span = structure.reshape(-1, spec.dim).T
+    q, sing, _ = np.linalg.svd(span @ span.T)
+    q = q[:, sing > 1e-12 * sing[0]]
     corners = np.array(list(product((-1.0, 1.0), repeat=spec.dim)))
     brackets = np.einsum("ai,bj,ijk->abk", corners, corners, structure)
     bracket = (float(np.max(np.linalg.norm(q, axis=1)))
@@ -262,8 +263,30 @@ def finsler_short_bound(delta: float, bracket: float, rate: float) -> float:
         return math.inf
     if rate == 0.0:
         return delta / bracket
-    from scipy.special import lambertw
-    return float(lambertw(delta * rate / bracket).real) / rate
+    return lambert_w(delta * rate / bracket) / rate
+
+
+def lambert_w(x: float) -> float:
+    """The principal branch ``W(x)`` of ``w e^w = x``, for ``x >= 0``.
+
+    Halley's iteration on ``w e^w - x`` (Corless, Gonnet, Hare, Jeffrey &
+    Knuth, "On the Lambert W function", *Adv. Comput. Math.* 5, 1996)
+    from ``log1p(x)``, which lies above the root.  It converges
+    cubically: six steps reach rounding on every positive float.
+    """
+    if not x >= 0.0:
+        raise ValueError("the Lambert W argument must be nonnegative")
+    if x == 0.0 or math.isinf(x):
+        return x
+    w = math.log1p(x)
+    for _ in range(10):
+        # The residual w e^w - x over e^w, which cannot overflow.
+        f = w - x * math.exp(-w)
+        step = f / (w + 1.0 - (w + 2.0) * f / (2.0 * w + 2.0))
+        w -= step
+        if abs(step) <= 1e-16 * w:
+            break
+    return w
 
 
 def abelianized_minimality(sub: groups.SubmetryData, traj: flow.Trajectory,

@@ -12,10 +12,17 @@ of the dual sphere by the open stars of the facet functionals together
 with a certified Lebesgue-style bound: any two points of the dual sphere
 closer than the bound lie in a common star.  The dual sphere's faces
 are the faces' ``facets`` sets and its gauge's rows are the ``vertices``.
+
+The bound's face distance LPs are solved by a small dense simplex,
+:func:`linprog`, and each is certified by a weak-duality bound evaluated
+in exact rationals, so the covering needs no scipy.  Only the convex
+hulls of :meth:`Polyhedron.from_vertices` and
+:meth:`Polyhedron.from_functionals` load it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -27,24 +34,29 @@ CONSISTENCY_TOL = 1e-12
 FACE_REL_TOL = 1e-9
 # Decimals used to deduplicate hull output rows.
 _DEDUP_DECIMALS = 12
+# Pivots one face distance LP may take, counting the one that brings
+# ``t`` into the starting basis.
+MAX_PIVOTS = 100
+# Reduced costs and pivot column entries count as negative or positive
+# beyond this; the LP's entries are vertex-functional products, at most
+# 1 in size.
+PIVOT_TOL = 1e-12
 
 
 class PolyhedronError(ValueError):
     """Raised when input data does not describe a symmetric unit ball."""
 
 
-# scipy is imported on the first hull or LP, so a run that needs
-# neither never loads it.
+class CoveringError(ArithmeticError):
+    """Raised when a face distance LP certifies no positive bound."""
+
+
+# scipy is imported on the first hull, so a run that builds no ball
+# from bare points never loads it.
 def ConvexHull(points: np.ndarray):
     """``scipy.spatial.ConvexHull(points)``."""
     from scipy.spatial import ConvexHull as hull
     return hull(points)
-
-
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog(*args, **kwargs)``."""
-    from scipy.optimize import linprog as solve
-    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -282,11 +294,13 @@ class Polyhedron:
         """Cover the dual sphere by the open stars of the functionals.
 
         Each functional exposes a facet, and the open facet stars cover
-        the whole dual sphere.  The returned Lebesgue bound is the least
-        dual-norm distance between disjoint closed faces of the dual
-        ball's boundary complex, computed exactly by linear programming
-        over the inclusion-maximal disjoint pairs only: enlarging either
-        face can only shrink the distance.  No polar ball is built.
+        the whole dual sphere.  The returned Lebesgue bound is a lower
+        bound on the least dual-norm distance between disjoint closed
+        faces of the dual ball's boundary complex, exact to the LP's
+        rounding, taken over the inclusion-maximal disjoint pairs only:
+        enlarging either face can only shrink the distance.  No polar
+        ball is built.  Raises :class:`CoveringError` when some pair's
+        LP certifies no positive bound.
         """
         delta, lp_solves = _min_disjoint_face_distance(self)
         return StarCovering(
@@ -312,30 +326,109 @@ class Polyhedron:
                    np.array(data["functionals"], dtype=float))
 
 
-def _polytope_pair_distance(gauge: np.ndarray, pts_a: np.ndarray,
-                            pts_b: np.ndarray) -> float:
-    """Least gauge distance between conv(pts_a) and conv(pts_b).
+def linprog(gauge: np.ndarray, pts_a: np.ndarray, pts_b: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Optimal ``(w, z, y)`` of the pair LP of :func:`_polytope_pair_distance`.
 
-    The gauge is ``max_k gauge_k . z`` over the rows of ``gauge``.
-    Solved as the linear program  min t  over convex weights (w, z) with
-    ``gauge_k . (sum_i w_i a_i - sum_j z_j b_j) <= t`` for every row.
+    A dense simplex on  min t  over ``w, z, t >= 0`` with ``sum w = sum z
+    = 1`` and a slack ``s_k >= 0`` on each row ``gauge_k . (sum_i w_i a_i
+    - sum_j z_j b_j) - t + s_k = 0``, where ``a_i`` and ``b_j`` are the
+    rows of ``pts_a`` and ``pts_b``.  It starts from the basis ``w_0 =
+    z_0 = 1`` with ``t`` entering on the largest row, whose slack leaves:
+    that is its first pivot.  It goes on by Bland's rule (the lowest
+    entering index, ratio ties to the lowest basic index), so degenerate
+    pivots cannot cycle.  Each pivot solves the basis afresh, so no
+    rounding accumulates.  ``y``, one entry per gauge row, holds the
+    slack columns' reduced costs clipped at 0: the rows' multipliers.
+
+    Raises :class:`CoveringError` on a singular basis, or when the
+    optimum needs more than ``MAX_PIVOTS`` pivots.
     """
     pa = np.atleast_2d(pts_a)
     pb = np.atleast_2d(pts_b)
-    na, nb = pa.shape[0], pb.shape[0]
-    a_ub = np.hstack([gauge @ pa.T, -(gauge @ pb.T),
-                      -np.ones((gauge.shape[0], 1))])
-    a_eq = np.zeros((2, na + nb + 1))
-    a_eq[0, :na] = 1.0
-    a_eq[1, na:na + nb] = 1.0
-    cost = np.zeros(na + nb + 1)
-    cost[-1] = 1.0
-    bounds = [(0.0, None)] * (na + nb) + [(None, None)]
-    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(a_ub.shape[0]),
-                  A_eq=a_eq, b_eq=np.ones(2), bounds=bounds, method="highs")
-    if not res.success:
-        raise PolyhedronError(f"face distance LP failed: {res.message}")
-    return float(res.fun)
+    na, nb, m = pa.shape[0], pb.shape[0], gauge.shape[0]
+    t_col = na + nb
+    # Columns w, z, t, slacks, then the right-hand side.
+    table = np.zeros((m + 2, t_col + m + 2))
+    table[:m, :na] = gauge @ pa.T
+    table[:m, na:t_col] = -(gauge @ pb.T)
+    table[:m, t_col] = -1.0
+    table[:m, t_col + 1:-1] = np.eye(m)
+    table[m, :na] = table[m + 1, na:t_col] = table[m:, -1] = 1.0
+    cost = np.zeros(t_col + m + 1)
+    cost[t_col] = 1.0
+    top = int(np.argmax(table[:m, 0] + table[:m, na]))
+    basis = [0, na, t_col] + [t_col + 1 + k for k in range(m) if k != top]
+    for pivots in range(1, MAX_PIVOTS + 1):
+        try:
+            tab = np.linalg.solve(table[:, basis], table)
+        except np.linalg.LinAlgError:
+            tab = None
+        if tab is None or not np.isfinite(tab).all():
+            raise CoveringError("face distance LP hit a singular basis")
+        reduced = cost - cost[basis] @ tab[:, :-1]
+        entering = np.flatnonzero(reduced < -PIVOT_TOL)
+        if not entering.size:
+            x = np.zeros(len(cost))
+            x[basis] = np.maximum(tab[:, -1], 0.0)
+            return (x[:na], x[na:t_col],
+                    np.maximum(reduced[t_col + 1:], 0.0))
+        if pivots == MAX_PIVOTS:
+            break
+        col = tab[:, entering[0]]
+        rows = np.flatnonzero(col > PIVOT_TOL)
+        if not rows.size:
+            raise CoveringError("face distance LP found no pivot row")
+        ratios = np.maximum(tab[rows, -1], 0.0) / col[rows]
+        ties = rows[ratios <= ratios.min() + PIVOT_TOL]
+        leave = min(ties, key=lambda r: basis[r])
+        basis[leave] = int(entering[0])
+    raise CoveringError(f"face distance LP took over {MAX_PIVOTS} pivots")
+
+
+def _polytope_pair_distance(gauge: np.ndarray, pts_a: np.ndarray,
+                            pts_b: np.ndarray) -> float:
+    """A lower bound on the least gauge distance between conv(pts_a) and
+    conv(pts_b), exact to the LP's rounding.
+
+    The gauge is ``max_k gauge_k . u`` over the rows of ``gauge``.  Any
+    ``y >= 0`` gives ``c = gauge^T y`` with ``c . u <= sum(y) * |u|``, so
+    for ``x`` in conv(pts_a) and ``x'`` in conv(pts_b), ``|x - x'| >=
+    (min_i c . a_i - max_j c . b_j) / sum(y)`` (weak duality).  With
+    :func:`linprog`'s optimal multipliers that bound is the LP value.  It
+    is evaluated exactly, in integers over powers of two (every float is
+    one such ratio), and rounded toward -inf, so the float returned
+    never exceeds the true distance of the float data.
+
+    Raises :class:`CoveringError` when the bound is not positive.
+    """
+    _, _, y = linprog(gauge, pts_a, pts_b)
+    pa = np.atleast_2d(pts_a)
+    ys, _ = _dyadic(y)
+    rows, d_g = _dyadic(gauge)
+    pts, d_p = _dyadic(np.vstack([pa, np.atleast_2d(pts_b)]))
+    levels = pts @ (ys @ rows)
+    gap = min(levels[:len(pa)]) - max(levels[len(pa):])
+    total = sum(ys)
+    if total <= 0 or gap <= 0:
+        raise CoveringError("face distance LP gave no positive bound")
+    # The bound is gap / den, and int / int rounds correctly to nearest.
+    den = total * d_g * d_p
+    out = gap / den
+    out_num, out_den = out.as_integer_ratio()
+    if out_num * den > gap * out_den:
+        out = math.nextafter(out, -math.inf)
+    return out
+
+
+def _dyadic(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Python ints ``n`` (an object array) and a power of two ``d`` with
+    ``x == n / d`` exactly, so sums and products of them are exact."""
+    x = np.asarray(x, dtype=float)
+    ratios = [v.as_integer_ratio() for v in x.ravel().tolist()]
+    den = max(d for _, d in ratios)
+    ints = np.array([n * (den // d) for n, d in ratios], dtype=object)
+    return ints.reshape(x.shape), den
 
 
 def _min_disjoint_face_distance(poly: Polyhedron) -> tuple[float, int]:
@@ -343,7 +436,8 @@ def _min_disjoint_face_distance(poly: Polyhedron) -> tuple[float, int]:
 
     The dual face of a primal ``k``-face is its ``facets`` set, of
     dimension ``poly.dim - 1 - k``, and the dual gauge's rows are the
-    primal vertices.  Returns the distance and the number of LPs solved.
+    primal vertices.  Returns the least pair bound of
+    :func:`_polytope_pair_distance` and the number of LPs solved.
     Only the inclusion-maximal disjoint pairs are solved: ``dist(A', B')
     <= dist(A, B)`` whenever ``A'`` contains ``A`` and ``B'`` contains
     ``B``, and every disjoint pair lies under a maximal one.  The face
@@ -374,7 +468,10 @@ class StarCovering:
     ``delta`` is a certified lower bound: two dual-sphere points at dual
     distance below ``delta`` always share at least one covering star;
     the stars holding ``xi`` are those of ``poly.face_of(xi).facets``.
-    ``lp_solves`` counts the face-distance LPs that computed it.
+    It is the least of the pairs' weak-duality bounds, each evaluated
+    in exact rationals and rounded toward -inf, so it never exceeds the
+    least face distance of the ball's float data.  ``lp_solves`` counts
+    the face-distance LPs that computed it.
     """
 
     poly: Polyhedron

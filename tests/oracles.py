@@ -11,6 +11,8 @@ own ball.  The sum and
 max norm subdifferentials have closed forms, spelled out coordinate by
 coordinate.  The maximal disjoint pairs of dual faces come from a scan
 over all pairs of pairs, and dual points from explicit conjugation.
+scipy's HiGHS solves the face distance LP, and its pivoted QR gives
+the derived algebra's basis for the adjoint bracket bound.
 The speed law is checked node by node, one gauge call per node.
 
 The exhaustive star-covering bound and the isoperimetrix switch times
@@ -23,7 +25,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 import numpy as np
-from scipy.linalg import expm
+from scipy.linalg import expm, qr
 from scipy.optimize import linprog, minimize
 
 
@@ -169,6 +171,43 @@ def maximal_disjoint_pairs(lattice: set[frozenset[int]]
 
     return {frozenset(p) for p in pairs
             if not any(q != p and under(p, q) for q in pairs)}
+
+
+def pair_distance_highs(gauge: np.ndarray, pts_a: np.ndarray,
+                        pts_b: np.ndarray) -> float:
+    """Least ``max_k gauge_k . (x - y)`` over x in conv(pts_a), y in
+    conv(pts_b): HiGHS's optimum of the pair LP, with ``t`` free."""
+    na, nb = len(pts_a), len(pts_b)
+    a_ub = np.hstack([gauge @ pts_a.T, -(gauge @ pts_b.T),
+                      -np.ones((len(gauge), 1))])
+    a_eq = np.zeros((2, na + nb + 1))
+    a_eq[0, :na] = a_eq[1, na:na + nb] = 1.0
+    cost = np.zeros(na + nb + 1)
+    cost[-1] = 1.0
+    res = linprog(cost, A_ub=a_ub, b_ub=np.zeros(len(gauge)), A_eq=a_eq,
+                  b_eq=np.ones(2), method="highs",
+                  bounds=[(0.0, None)] * (na + nb) + [(None, None)])
+    assert res.success, res.message
+    return float(res.fun)
+
+
+def qr_bracket_and_rate(structure: np.ndarray, velocities: np.ndarray
+                        ) -> tuple[float, float]:
+    """The ``bracket`` and ``rate`` of the adjoint bracket bound, with the
+    derived algebra's orthonormal basis from pivoted QR of the structure
+    constants and the rate over the given algebra velocities."""
+    dim = structure.shape[0]
+    q, r, _ = qr(structure.reshape(-1, dim).T, mode="economic",
+                 pivoting=True)
+    pivots = np.abs(np.diag(r))
+    q = q[:, pivots > 1e-12 * pivots[0]]
+    corners = np.array(list(product((-1.0, 1.0), repeat=dim)))
+    brackets = np.einsum("ai,bj,ijk->abk", corners, corners, structure)
+    bracket = (float(np.max(np.linalg.norm(q, axis=1)))
+               * float(np.max(np.linalg.norm(brackets, axis=-1))))
+    ads = np.einsum("vi,ijk->vkj", velocities, structure)
+    sym = q.T @ (0.5 * (ads + ads.transpose(0, 2, 1))) @ q
+    return bracket, float(np.max(np.linalg.eigvalsh(sym), initial=0.0))
 
 
 def adjoint_by_conjugation(basis: np.ndarray, g: np.ndarray,

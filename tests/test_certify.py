@@ -6,12 +6,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.special import lambertw
 
 from oracles import (
     adjoint_bracket_max,
     cube_bracket_coordinates,
     face_lattice_bruteforce,
     faces_share_a_closed_face,
+    qr_bracket_and_rate,
     sampled_adjoint_bracket_max,
     vertex_arc_bracket_max,
     window_vertex_sets,
@@ -38,7 +40,7 @@ from subfinsler import (
     verify_face_stability,
     vertical_shortcut,
 )
-from subfinsler.certify import MEstimate
+from subfinsler.certify import MEstimate, lambert_w
 from subfinsler.flow import FaceEvent, Trajectory
 from subfinsler.groups import _REGISTRY as GROUPS, exp as group_exp
 
@@ -148,6 +150,24 @@ def test_bound_dominates_sampled_and_own_brackets(group, ball_kind):
         assert group == "rotation"
 
 
+@pytest.mark.parametrize("ball_kind", ["cube", "random", "stretched"])
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_svd_derived_basis_gives_the_qr_estimate(group, ball_kind):
+    # Every orthonormal basis of [g, g] gives the same bracket and rate,
+    # so the SVD basis and scipy's pivoted QR agree to rounding.
+    spec = group_by_name(group)
+    pol = spec.polarization
+    ball = _test_ball(ball_kind, len(pol), np.random.default_rng(3))
+    velocities = np.zeros((len(ball.vertices), spec.dim))
+    velocities[:, list(pol)] = ball.vertices
+    bracket, rate = qr_bracket_and_rate(spec.structure, velocities)
+    est = adjoint_bracket_bound(spec, 1.5, ball, pol)
+    assert est.bracket == pytest.approx(bracket, rel=1e-12, abs=1e-15)
+    assert est.rate == pytest.approx(rate, rel=1e-12, abs=1e-15)
+    assert est.value == pytest.approx(bracket * math.exp(1.5 * rate),
+                                      rel=1e-12, abs=1e-15)
+
+
 def test_stability_window_algebra():
     assert stability_window(2.0, 1.0, 2.0) == 1.0
     assert stability_window(2.0, 0.5, 2.0) == 2.0
@@ -173,6 +193,17 @@ def test_finsler_short_bound_solves_the_growth_equation():
         assert length > 0.0
         assert abs(length * m - delta) <= 1e-12 * delta, (delta, bracket,
                                                           rate)
+
+
+def test_lambert_w_matches_scipy_to_a_few_ulps():
+    xs = np.logspace(-12.0, 12.0, 2401)
+    ours = np.array([lambert_w(float(x)) for x in xs])
+    theirs = lambertw(xs).real
+    assert np.all(np.abs(ours - theirs) <= 4.0 * np.spacing(theirs))
+    assert lambert_w(0.0) == 0.0
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            lambert_w(bad)
 
 
 # -- windowed face checks ------------------------------------------------------

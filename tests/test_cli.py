@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import subfinsler
-from subfinsler import certify, cli, convex, flow
+from subfinsler import certify, cli, convex, flow, polyhedra
 from subfinsler.cli import ScenarioError, load_scenario, main
 from subfinsler.polyhedra import Polyhedron, linf_ball
 
@@ -387,6 +387,18 @@ def test_overflowing_adjoint_bound_exits_3(tmp_path, capsys):
     assert "numerical failure:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, scenario", [
+    ("faces", "hexagon_faces"), ("certify", "heisenberg_carnot")])
+def test_uncertified_covering_exits_3(tmp_path, capsys, monkeypatch,
+                                      command, scenario):
+    # A cap of 0 pivots fails every face distance LP, as the cap or a
+    # singular basis would on a ball the simplex cannot solve.
+    monkeypatch.setattr(polyhedra, "MAX_PIVOTS", 0)
+    assert run(command, "--config", scenario, "--out", tmp_path) == 3
+    assert ("numerical failure: face distance LP took over 0 pivots"
+            in capsys.readouterr().err)
+
+
 def test_overflowing_reference_subgroup_exits_3(tmp_path, capsys):
     # exp(t * (0, 1000)) on the affine line overflows its scale entry
     # from t = 0.71 on; the subgroup used to be written with inf rows.
@@ -634,8 +646,7 @@ def test_rerun_is_byte_identical(tmp_path):
 # -- imports ---------------------------------------------------------------------
 
 # Imports the package, runs each command in turn and prints the exit
-# code and the scipy modules loaded so far; certify runs last, since
-# its LPs need scipy.
+# code and the scipy modules loaded so far.
 COLD_RUNS = """
 import json, sys
 import subfinsler
@@ -654,21 +665,21 @@ for command, scenario in json.loads(sys.argv[2]):
 NUMPY_ONLY_RUNS = [("integrate", "heisenberg_vertical"),
                    ("branch", "affine_corner_pair"),
                    ("branch", "heisenberg_rootsum_pair"),
-                   ("shortcut", "heisenberg_shortcut")]
+                   ("shortcut", "heisenberg_shortcut"),
+                   ("faces", "hexagon_faces"),
+                   ("certify", "heisenberg_finsler_certify"),
+                   ("certify", "heisenberg_carnot")]
 
 
 def test_curve_commands_load_no_scipy_in_a_subprocess(tmp_path):
-    runs = NUMPY_ONLY_RUNS + [("certify", "heisenberg_carnot")]
     package_root = Path(subfinsler.__file__).parents[1]
     env = dict(os.environ, PYTHONPATH=str(package_root))
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_RUNS, str(tmp_path), json.dumps(runs)],
+        [sys.executable, "-c", COLD_RUNS, str(tmp_path),
+         json.dumps(NUMPY_ONLY_RUNS)],
         capture_output=True, text=True, timeout=120, env=env, check=True)
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [name for name, _, _ in lines] == (
-        ["import"] + [f"{c} {s}" for c, s in runs])
-    for name, code, loaded in lines[:-1]:
+        ["import"] + [f"{c} {s}" for c, s in NUMPY_ONLY_RUNS])
+    for name, code, loaded in lines:
         assert (name, code, loaded) == (name, 0, [])
-    _, code, loaded = lines[-1]
-    assert code == 0
-    assert "scipy.optimize" in loaded

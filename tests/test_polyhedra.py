@@ -2,6 +2,7 @@
 
 import itertools
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,16 +21,18 @@ from subfinsler import (
     verify_face_stability,
 )
 from subfinsler.flow import FaceEvent, Trajectory
-from subfinsler.polyhedra import _polytope_pair_distance
+from subfinsler.polyhedra import CoveringError, _polytope_pair_distance
 
 from oracles import (
     face_lattice_bruteforce,
     faces_share_a_closed_face,
     maximal_disjoint_pairs,
+    pair_distance_highs,
 )
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
+import workloads  # noqa: E402
 from reference import exhaustive_delta  # noqa: E402
 
 BALLS = [
@@ -446,6 +449,101 @@ def test_pair_distance_lp_frozen():
     d = _polytope_pair_distance(square.functionals, np.array([[1.0, 1.0]]),
                                 np.array([[-1.0, -1.0], [1.0, -1.0]]))
     assert d == pytest.approx(2.0, abs=1e-9)
+
+
+# -- the face distance simplex ----------------------------------------------
+
+
+def _bench_like_balls() -> list[tuple[str, Polyhedron]]:
+    """Random polygons, and skewed cubes, cross-polytopes and
+    ``random_ball3`` balls, drawn by the bench's own generators."""
+    rng = np.random.default_rng(11)
+    balls = [(f"polygon{2 * pairs}", workloads.symmetric_polygon(rng, pairs))
+             for pairs in range(2, 8)]
+    balls += [(f"{make.__name__}_{i}", make(rng))
+              for make in (workloads.skewed_cube, workloads.skewed_cross,
+                           workloads.random_ball3) for i in range(3)]
+    return [(name, Polyhedron.from_json_dict(ball)) for name, ball in balls]
+
+
+BENCH_LIKE_BALLS = _bench_like_balls()
+
+
+@pytest.fixture(params=[ball for _, ball in BENCH_LIKE_BALLS],
+                ids=[name for name, _ in BENCH_LIKE_BALLS])
+def bench_ball(request):
+    return request.param
+
+
+def _exact_gauge_length(gauge, pts_a, w, pts_b, z) -> Fraction:
+    """``max_k gauge_k . (x - y)`` in exact rationals, for the points
+    ``x`` and ``y`` of conv(pts_a) and conv(pts_b) with weights
+    proportional to ``w`` and ``z``."""
+    def point(pts, weights):
+        weights = [Fraction(v) for v in weights.tolist()]
+        total = sum(weights)
+        return [sum(wi * Fraction(p[d]) for wi, p in zip(weights, pts))
+                / total for d in range(pts.shape[1])]
+
+    diff = [x - y for x, y in zip(point(pts_a, w), point(pts_b, z))]
+    return max(sum(Fraction(g) * u for g, u in zip(row, diff))
+               for row in gauge.tolist())
+
+
+def test_delta_matches_exhaustive_lp_on_bench_balls(bench_ball):
+    assert bench_ball.star_covering().delta == pytest.approx(
+        exhaustive_delta(bench_ball.vertices, bench_ball.functionals),
+        abs=1e-12)
+
+
+def test_pair_bounds_are_bracketed_by_the_solvers_primal_points(
+        monkeypatch, bench_ball):
+    # Each pair's bound sits below the exact length of the simplex's own
+    # primal point, and within 1e-12 of it and of HiGHS's optimum.
+    solved = _record_pair_lps(monkeypatch, bench_ball)
+    bench_ball.star_covering()
+    for gauge, ids_a, ids_b in solved:
+        pts_a = bench_ball.functionals[sorted(ids_a)]
+        pts_b = bench_ball.functionals[sorted(ids_b)]
+        lower = _polytope_pair_distance(gauge, pts_a, pts_b)
+        w, z, _ = polyhedra.linprog(gauge, pts_a, pts_b)
+        upper = _exact_gauge_length(gauge, pts_a, w, pts_b, z)
+        assert Fraction(lower) <= upper
+        assert float(upper) - lower <= 1e-12 * lower
+        assert lower == pytest.approx(
+            pair_distance_highs(gauge, pts_a, pts_b), rel=1e-12)
+
+
+def test_cross_polytope_and_cube_delta_never_exceeds_two():
+    # The true distance is 2; a bound rounded toward -inf cannot pass it.
+    for ball in (l1_ball(2), linf_ball(3)):
+        delta = ball.star_covering().delta
+        assert 2.0 - 1e-12 <= delta <= 2.0
+
+
+def test_pivot_cap_raises_an_arithmetic_error(monkeypatch):
+    # The pivot that brings t into the starting basis counts, so a cap
+    # of 0 fails every LP.
+    monkeypatch.setattr(polyhedra, "MAX_PIVOTS", 0)
+    with pytest.raises(CoveringError, match="pivots") as info:
+        l1_ball(2).star_covering()
+    assert isinstance(info.value, ArithmeticError)
+    assert not isinstance(info.value, ValueError)
+
+
+def test_touching_faces_give_no_positive_bound():
+    square = linf_ball(2)
+    edge = np.array([[1.0, 1.0], [1.0, -1.0]])
+    with pytest.raises(CoveringError, match="no positive bound"):
+        _polytope_pair_distance(square.functionals, edge, edge[:1])
+
+
+def test_a_basis_with_no_finite_solve_is_singular():
+    gauge = linf_ball(2).functionals.copy()
+    gauge[0, 0] = np.inf
+    edge = np.array([[1.0, 1.0], [1.0, -1.0]])
+    with pytest.raises(CoveringError, match="singular basis"):
+        polyhedra.linprog(gauge, edge, -edge)
 
 
 def test_covering_stars_nonempty(any_ball, rng):
