@@ -152,12 +152,31 @@ def adjoint_bracket_bound(spec: groups.GroupSpec, radius: float,
 
 def stability_window(delta: float, lam_reference_dual: float,
                      m_value: float) -> float:
-    """Window length delta / (N*(lam) * M); infinite when M vanishes."""
+    """Window length delta / (N*(lam) * M) for ``delta`` and ``M`` at
+    least zero, rounded down; infinite when M vanishes.
+
+    The quotient is taken exactly, in integers over powers of two
+    (every float is one such ratio): int / int rounds correctly to
+    nearest, and a result above the exact value is stepped down one
+    ulp, so the window never exceeds the exact window of its float
+    inputs, and an exact quotient is returned as it is.  A product
+    ``N*(lam) * M`` beyond the float range gives 0.0.
+    """
     if lam_reference_dual <= 0.0:
         raise ValueError("covector must be nonzero")
     if m_value == 0.0:
         return math.inf
-    return delta / (lam_reference_dual * m_value)
+    product = lam_reference_dual * m_value
+    if not math.isfinite(product):
+        return delta / product
+    (n_d, d_d), (n_l, d_l), (n_m, d_m) = (
+        x.as_integer_ratio() for x in (delta, lam_reference_dual, m_value))
+    num, den = n_d * d_l * d_m, d_d * n_l * n_m
+    out = num / den
+    out_num, out_den = out.as_integer_ratio()
+    if out_num * den > num * out_den:
+        out = math.nextafter(out, 0.0)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ Two integrators are provided, and :func:`integrate` picks the one a
 norm needs.  Both walk exact subgroup arcs wherever the control is
 constant: the grid nodes of an arc are stacked closed-form evaluations
 (:func:`arc`, which also gives :func:`subgroup_trajectory` its nodes),
-and one scan, :func:`_scan_arc`, walks them until a switching function
-of the dual point says the arc exits, and solves the exit to rounding.
+and the arc ends where a switching function of the dual point exits.
+One scan, :func:`_scan_arc`, walks the nodes until the switching
+function says the arc exits, and solves the exit to rounding.
 :func:`integrate_smooth` handles norms with single-valued dual
 gradients.  On a corner cone of the norm the control is constant, as
 on a polytope face, and the arc ends where the dual point leaves the
@@ -23,20 +24,25 @@ fourth-order Runge-Kutta step on the chart matrix advances the curve,
 recording crossings between smooth regimes of the dual energy by
 bisection.  :func:`integrate_polyhedral` handles polytope balls:
 between face events the maximizing control is constant, and each face
-switch is the exit of a gap between vertex supports.  The face after a
-switch is read off the dual point's velocity, so an instant pass
-through a lower face is one event.  Faces are compared only at grid
-nodes: a visit that starts and ends within one step is not seen (on
-the Heisenberg group none can be, since the dual point moves in
-straight lines there).  Normal data does not determine the control on
-a set-valued face: the one selection rule picks the face's barycenter,
-scaled to the speed, and keeps it on every face containing that face.
+switch is the exit of a gap between vertex supports.  When every
+bracket of the algebra is central (Heisenberg, translations) the dual
+point moves on a line along each arc, so the gap is piecewise linear
+and :func:`_line_arc` solves its exit in closed form, from the arc's
+start alone: no visit is missed and no event time depends on the grid.
+On other groups (``affine_line``, ``rotation``) the scan compares
+faces only at grid nodes, so a visit that starts and ends within one
+step is not seen.  The face after a switch is read off the dual
+point's velocity, so an instant pass through a lower face is one
+event.  Normal data does not determine the control on a set-valued
+face: the one selection rule picks the face's barycenter, scaled to
+the speed, and keeps it on every face containing that face.
 
 No curve has a non-finite node: a :class:`Trajectory` rejects a chart
-point that overflowed, the integrators reject a speed, dual point or
-dual point velocity that did, and all raise :class:`IntegrationError`,
-as does a face switch or cone exit that ``brentq`` cannot solve, or a
-face switch that advances neither time nor face.
+point that overflowed, the integrators reject a speed, dual point,
+support value or dual point velocity that did, and all raise
+:class:`IntegrationError`, as does a face switch or cone exit that
+``brentq`` cannot solve, or a face switch that advances neither time
+nor face.
 """
 
 from __future__ import annotations
@@ -366,6 +372,57 @@ def _scan_arc(spec: groups.GroupSpec, lam: np.ndarray,
     return None, k
 
 
+def _line_arc(spec: groups.GroupSpec, lam: np.ndarray,
+              polarization: tuple[int, ...], g: np.ndarray, u_v: np.ndarray,
+              t0: float, xi0: np.ndarray, w: np.ndarray,
+              vertices: np.ndarray, members: np.ndarray, times: np.ndarray,
+              points: np.ndarray, duals: np.ndarray, controls: np.ndarray,
+              k: int) -> tuple[tuple[float, np.ndarray, np.ndarray] | None,
+                               int]:
+    """:func:`_scan_arc` for an arc whose dual point moves on the line
+    ``xi0 + s w``, with the outsider gap of the face ``members`` of
+    ``vertices`` as its switching function, solved in closed form.
+
+    Each support ``a_j + s b_j`` (``a = V xi0``, ``b = V w``) is linear,
+    and the members tie in both, so the face holds until the first
+    outsider that rises faster than the face catches up with it:
+    ``s* = min (a_F - a_j) / (b_j - b_F)`` over the outsiders with
+    ``b_j > b_F``, where ``a_F``, ``b_F`` are the members' maxima.  An
+    outsider that ties at the start falls behind (the face was chosen
+    as the velocity's subface), so no tie is a switch again.  The nodes
+    at or before ``s*`` are one stacked :func:`arc`, and the exit is one
+    more, so nothing depends on the grid but which nodes are filled.
+
+    Returns as :func:`_scan_arc` does, with no exit when ``t0 + s*``
+    is after the grid's last time.  Raises IntegrationError if a
+    support value, a filled node's dual point or the exit's is not
+    finite.
+    """
+    a, b = vertices @ xi0, vertices @ w
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise IntegrationError("support value is not finite", t0)
+    a_f, b_f = np.max(a[members]), np.max(b[members])
+    rising = ~members & (b > b_f)
+    root = float(np.min((a_f - a[rising]) / (b[rising] - b_f),
+                        initial=math.inf))
+    s = times[k:] - t0
+    keep = int(np.searchsorted(s, root, side="right"))
+    if keep:
+        pts, xis = arc(spec, lam, u_v, s[:keep], polarization, g)
+        bad = ~np.isfinite(xis).all(axis=-1)
+        if bad.any():
+            raise IntegrationError("dual point is not finite",
+                                   times[k + np.argmax(bad)])
+        points[k:k + keep], duals[k:k + keep] = pts, xis
+        controls[k:k + keep] = u_v
+    if t0 + root > times[-1]:
+        return None, k + keep
+    pt, xi = arc(spec, lam, u_v, root, polarization, g)
+    if not np.isfinite(xi).all():
+        raise IntegrationError("dual point is not finite", t0 + root)
+    return (root, pt, xi), k + keep
+
+
 def whole_steps(t_end: float, step: float, size: int = 1) -> int:
     """The number of grid steps from 0 to ``t_end``.
 
@@ -525,25 +582,29 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
 
     Between face events the control ``u`` is constant, so the curve is
     a chain of closed-form subgroup arcs ``g_seg exp(s U)``.  Each arc
-    is walked by :func:`_scan_arc`, whose first window is the previous
-    arc's node count, on the outsider gap of the face ``F``
+    ends where the outsider gap of the face ``F``
 
         h(s) = max_{j not in F} v_j . xi(s) - max_{j in F} v_j . xi(s),
 
-    so the face holds until ``h`` exceeds zero after a negative value,
-    and a tie left by the previous switch is not a switch again.  The
-    face after a switch is the subface of the touching face that the
-    dual point's velocity (:func:`dual_derivative`, under the current
-    control) exposes, reselecting the control until face and control
-    agree; so an instant pass through a lower face (vertex, edge,
-    vertex) is one event, and event times increase strictly.  A start
-    face that splits at once gives an event at t = 0, and
-    ``controls[0]`` holds the control the curve leaves with.
+    exceeds zero after a negative value, so a tie left by the previous
+    switch is not a switch again.  When every bracket of the algebra is
+    central (``[x, [y, z]] = 0``, read off ``spec.structure``) the dual
+    point is ``xi0 + s w`` along each arc, with ``w`` the velocity the
+    face was chosen by, and :func:`_line_arc` solves the exit in closed
+    form: a least ratio, no node scan and no ``brentq``, so event times
+    do not depend on ``step``.  Otherwise :func:`_scan_arc` walks the
+    arc, whose first window is the previous arc's node count, and
+    solves the exit with ``brentq``; there faces are compared only at
+    grid nodes, so a visit that starts and ends within one step, or a
+    tangential touch, is not seen.
 
-    Faces are still compared only at grid nodes: a visit that starts
-    and ends within one step, or a tangential touch, is not seen.  On
-    the Heisenberg group the dual point moves in a straight line along
-    each arc, so every gap is linear in ``s`` and no visit can hide.
+    The face after a switch is the subface of the touching face that
+    the dual point's velocity (:func:`dual_derivative`, under the
+    current control) exposes, reselecting the control until face and
+    control agree; so an instant pass through a lower face (vertex,
+    edge, vertex) is one event, and event times increase strictly.  A
+    start face that splits at once gives an event at t = 0, and
+    ``controls[0]`` holds the control the curve leaves with.
     """
     poly = convex.as_polyhedron(norm)
     pol = spec.polarization if polarization is None else tuple(polarization)
@@ -552,7 +613,8 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
 
     def face_after(touch, t: float, g: np.ndarray, u: np.ndarray, picked):
         """The face the dual point enters from ``touch``, its control,
-        and the face ``picked`` that control was picked on.
+        the face ``picked`` that control was picked on, and the dual
+        point's velocity under that control.
 
         ``u`` is kept on every face that contains ``picked``; any other
         face gets a control picked on it, and the velocity is taken
@@ -565,7 +627,7 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
                 raise IntegrationError("dual point velocity overflows", t)
             face = poly.subface(touch, velocity)
             if picked.vertex_set <= face.vertex_set:
-                return face, u, picked
+                return face, u, picked, velocity
             if face.fid in tried:
                 raise IntegrationError("no face after the event keeps its "
                                        "own control", t)
@@ -584,7 +646,7 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
     xi = groups.coadjoint_dual_point(spec, lam, g, pol)
     touch = poly.face_of(xi)
     u = _select_control(poly, touch, speed)
-    face, u, picked = face_after(touch, 0.0, g, u, touch)
+    face, u, picked, velocity = face_after(touch, 0.0, g, u, touch)
     events: list[FaceEvent] = []
     if face.fid != touch.fid:
         events.append(FaceEvent(0.0, touch.fid, face.fid))
@@ -594,27 +656,37 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
     duals[0] = xi
     face_ids[0] = touch.fid
 
+    # Every bracket is central exactly when [x, [y, z]] = 0 for all x,
+    # y, z; then Ad_{exp(sU)} = 1 + s ad_U and the dual point moves on a
+    # line along each arc.
+    linear = not np.einsum("jkm,imn->ijkn", spec.structure,
+                           spec.structure).any()
     t_seg, k, span = 0.0, 1, 1
     while k <= n_steps:
         members = np.zeros(len(poly.vertices), dtype=bool)
         members[list(face.vertex_ids)] = True
-
-        def gap(xis: np.ndarray) -> np.ndarray:
-            vals = xis @ poly.vertices.T
-            return (np.max(vals[..., ~members], axis=-1)
-                    - np.max(vals[..., members], axis=-1))
-
         first = k
-        exit_at, k = _scan_arc(spec, lam, pol, g, u, t_seg, xi, gap,
-                               "face switch", times, points, duals, controls,
-                               k, span)
+        if linear:
+            exit_at, k = _line_arc(spec, lam, pol, g, u, t_seg, xi, velocity,
+                                   poly.vertices, members, times, points,
+                                   duals, controls, k)
+        else:
+            def gap(xis: np.ndarray) -> np.ndarray:
+                vals = xis @ poly.vertices.T
+                return (np.max(vals[..., ~members], axis=-1)
+                        - np.max(vals[..., members], axis=-1))
+
+            exit_at, k = _scan_arc(spec, lam, pol, g, u, t_seg, xi, gap,
+                                   "face switch", times, points, duals,
+                                   controls, k, span)
         face_ids[first:k] = face.fid
         if exit_at is None:
             break
         root, g, xi = exit_at
         t_next = t_seg + root
         touch = poly.face_of(xi)
-        new_face, u, picked = face_after(touch, t_next, g, u, picked)
+        new_face, u, picked, velocity = face_after(touch, t_next, g, u,
+                                                   picked)
         if new_face.fid != face.fid:
             events.append(FaceEvent(t_next, face.fid, new_face.fid))
             if len(events) > MAX_SWITCHES:

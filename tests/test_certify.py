@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -174,6 +175,19 @@ def test_stability_window_algebra():
     assert math.isinf(stability_window(2.0, 1.0, 0.0))
     with pytest.raises(ValueError):
         stability_window(2.0, 0.0, 1.0)
+
+
+def test_stability_window_rounds_down():
+    # 1 / 5 rounds up to nearest; the window is the float just below
+    # the exact quotient of its float inputs, never above it.
+    assert 1.0 / (5.0 * 1.0) > Fraction(1, 5)
+    assert stability_window(1.0, 5.0, 1.0) == math.nextafter(0.2, 0.0)
+    rng = np.random.default_rng(7)
+    for delta, lam_dual, m in rng.uniform(0.1, 10.0, (300, 3)).tolist():
+        window = stability_window(delta, lam_dual, m)
+        exact = Fraction(delta) / (Fraction(lam_dual) * Fraction(m))
+        assert Fraction(window) <= exact < Fraction(
+            math.nextafter(window, math.inf))
 
 
 def test_finsler_short_bound_constant_m():

@@ -551,9 +551,12 @@ def test_nan_switch_probe_is_an_integration_error():
 
 
 def test_each_root_probe_evaluates_the_arc_once(monkeypatch):
-    # The scan hands its exit's chart and dual point on, so the only
-    # one-offset arc evaluations are the root solves' inner probes, each
-    # evaluated once: no integrator evaluates the arc at a root again.
+    # The scan hands its exit's chart and dual point on, so on rotation
+    # and on the cone runs the only one-offset arc evaluations are the
+    # root solves' inner probes, each evaluated once: no integrator
+    # evaluates the arc at a root again.  On the Heisenberg group every
+    # face switch is solved in closed form: one one-offset evaluation at
+    # the exit, and no root solve.
     single, probes = [], []
     arc, brentq = flow.arc, flow.brentq
 
@@ -575,9 +578,13 @@ def test_each_root_probe_evaluates_the_arc_once(monkeypatch):
 
     monkeypatch.setattr(flow, "arc", counted_arc)
     monkeypatch.setattr(flow, "brentq", recorded_brentq)
+    heis = integrate_polyhedral(heisenberg_group(), MaxNorm(2),
+                                [0.3, 0.5, 0.8], 3.0, 1e-2,
+                                polarization=(0, 1))
+    assert len(heis.events) == len(single) == 3
+    assert probes == []
+    single.clear()
     runs = [
-        integrate_polyhedral(heisenberg_group(), MaxNorm(2),
-                             [0.3, 0.5, 0.8], 3.0, 1e-2, polarization=(0, 1)),
         integrate_polyhedral(rotation_group(), MaxNorm(3),
                              [1.0, 0.3, 0.2], 3.0, 1e-2),
         integrate_smooth(affine_line_group(), CornerNorm(), [0.5, 1.0],
@@ -587,6 +594,41 @@ def test_each_root_probe_evaluates_the_arc_once(monkeypatch):
     ]
     assert all(run.events for run in runs)
     assert len(single) == sum(map(len, probes)) > 0
+
+
+@pytest.mark.parametrize("norm, lam, pol", [
+    (PolyhedralNorm(regular_polygon_ball(6, 0.1)), [0.4, 0.7, 1.3], (0, 1)),
+    (MaxNorm(3), [0.3, -0.2, 1.7], None),
+], ids=["hexagon", "cube"])
+def test_linear_arc_events_do_not_depend_on_the_step(monkeypatch, norm, lam,
+                                                     pol):
+    # On the Heisenberg group each switch is a least ratio of linear
+    # supports, read off the previous exit alone, so the grid changes
+    # which nodes are filled but not one bit of an event time.  Each
+    # node after t = 0 is one exp row and each switch one more; nothing
+    # is scanned or bracketed.
+    def refused(*args, **kwargs):
+        raise AssertionError("arc scanned or root bracketed")
+
+    rows = []
+    original = groups.exp
+
+    def counting_exp(spec, coords):
+        rows.append(int(np.prod(np.shape(coords)[:-1])))
+        return original(spec, coords)
+
+    monkeypatch.setattr(flow, "brentq", refused)
+    monkeypatch.setattr(flow, "_scan_arc", refused)
+    monkeypatch.setattr(groups, "exp", counting_exp)
+    times = []
+    for step in (1e-1, 1e-2, 1e-3):
+        rows.clear()
+        traj = integrate_polyhedral(heisenberg_group(), norm, lam, 3.0, step,
+                                    polarization=pol)
+        assert len(traj.events) >= 3
+        assert sum(rows) == len(traj.times) - 1 + len(traj.events)
+        times.append([e.t for e in traj.events])
+    assert times[0] == times[1] == times[2]
 
 
 def test_vanishing_center_covector_needs_no_root_solve(monkeypatch):
