@@ -80,7 +80,7 @@ from .flow import (
     Trajectory,
     check_constant_speed,
     detect_branching,
-    dual_derivative,
+    arc_terms,
     integrate,
     integrate_polyhedral,
     integrate_smooth,

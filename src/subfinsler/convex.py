@@ -182,14 +182,18 @@ class Norm:
         return 0
 
     def corner_cone(self, eta: Covector
-                    ) -> Callable[[np.ndarray], np.ndarray] | None:
-        """The switching function of the corner cone strictly holding
+                    ) -> Callable[[np.ndarray, np.ndarray, np.ndarray],
+                                  np.ndarray] | None:
+        """The switching forms of the corner cone strictly holding
         ``eta``, or None when no such cone does.
 
         A corner cone is the normal cone of a corner of the unit ball:
         on it ``grad E*(xi) = N*(xi) * corner``, so a normal curve keeps
-        its control there.  The function takes a stack of covectors
-        (..., dim) and is negative exactly inside the cone."""
+        its control there, and its dual point moves as
+        ``xi(s) = a + S(s) b + C(s) c`` (:func:`subfinsler.flow.arc_terms`).
+        The returned map takes those coefficients ``(a, b, c)`` to the
+        rows ``(k0, k1, k2)`` of forms ``k0 + k1 S + k2 C`` whose max is
+        negative exactly inside the cone along such an arc."""
         return None
 
     # subdifferentials -------------------------------------------------
@@ -369,15 +373,19 @@ class CornerNorm(Norm):
         # they join into one.
         return 2 if len(off) > 1 or off[0] > 0.0 else 3
 
-    def _cap_switch(self, xi) -> np.ndarray:
-        """``|P xi| - |h|``: negative inside the open caps."""
-        xi = np.abs(np.asarray(xi, dtype=float))
-        off = np.delete(xi, self.axis, axis=-1)
-        return np.hypot.reduce(off, axis=-1) - xi[..., self.axis]
+    def _cap_forms(self, a, b, c) -> np.ndarray:
+        """The planar cap ``|x| - |h|`` as the forms ``+-x - |h|``.
+
+        The control ``h e_axis`` commutes with ``e_axis``, so ``h`` is
+        held along the arc."""
+        x = np.delete([a, b, c], self.axis, axis=1)[:, 0]
+        h = [abs(a[self.axis]), 0.0, 0.0]
+        return np.column_stack([x - h, -x - h])
 
     def corner_cone(self, eta):
         """The cap ``|h| > |P eta|``, corners ``+-e_axis``."""
-        return self._cap_switch if self._cap_switch(eta) < 0.0 else None
+        h, _, k = self._split(eta)
+        return self._cap_forms if k < abs(h) else None
 
     def grad_dual_energy(self, eta):
         h, off, k = self._split(eta)
@@ -428,6 +436,15 @@ class AxisCornerNorm(CornerNorm):
     family = "axis_corner"
     dim = 3
     axis = 0
+
+    def _cap_forms(self, a, b, c):
+        """The cap ``|P xi|**2 - h**2``, with ``h`` held: of its
+        ``S C`` and ``C**2`` terms, ``2 Pb . Pc`` and ``q |Pb|**2 + |Pc|**2``,
+        the form keeps neither, as both vanish on every registry group."""
+        h = a[self.axis]
+        pa, pb, pc = np.delete([a, b, c], self.axis, axis=1)
+        return np.array([[pa @ pa - h * h], [2.0 * (pa @ pb)],
+                         [2.0 * (pb @ pb + pa @ pc)]])
 
 
 class RootSumNorm(Norm):
@@ -498,17 +515,21 @@ class RootSumNorm(Norm):
 
     def corner_cone(self, eta):
         """One active coordinate ``i``: ``|eta_i| > 2 max_{j!=i} |eta_j|``,
-        where ``s* = |eta_i| / 2`` and the corners are ``+-e_i``."""
+        where ``s* = |eta_i| / 2`` and the corners are ``+-e_i``.  The
+        control ``N*(eta) e_i`` commutes with ``e_i``, so ``xi_i`` is
+        held, and the forms are ``+-xi_j - |xi_i| / 2``."""
         eta = np.asarray(eta, dtype=float)
         i = int(np.argmax(np.abs(eta)))
         others = [j for j in range(len(eta)) if j != i]
+        if not np.max(np.abs(eta[others]), initial=0.0) < 0.5 * abs(eta[i]):
+            return None
 
-        def switch(xi):
-            a = np.abs(np.asarray(xi, dtype=float))
-            return (np.max(a[..., others], axis=-1, initial=0.0)
-                    - 0.5 * a[..., i])
+        def forms(a, b, c):
+            sides = np.array([a, b, c])[:, others]
+            half = [[0.5 * abs(a[i])], [0.0], [0.0]]
+            return np.hstack([sides - half, -sides - half])
 
-        return switch if switch(eta) < 0.0 else None
+        return forms
 
     def subdiff_energy(self, u):
         u = np.asarray(u, dtype=float)

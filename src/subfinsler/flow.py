@@ -14,8 +14,12 @@ norm needs.  Both walk exact subgroup arcs wherever the control is
 constant: the grid nodes of an arc are stacked closed-form evaluations
 (:func:`arc`, which also gives :func:`subgroup_trajectory` its nodes),
 and the arc ends where a switching function of the dual point exits.
-One scan, :func:`_scan_arc`, walks the nodes until the switching
-function says the arc exits, and solves the exit to rounding.
+Along an arc the dual point is ``xi0 + S_q(s) b + C_q(s) c``, with the
+sinh/sin kernel ``S_q`` and the (cosh - 1)/(1 - cos) kernel ``C_q`` of
+:func:`arc_terms`, so every switching function is the max of forms
+``k0 + k1 S_q + k2 C_q``, and one solver, :func:`_held_arc`, finds the
+exit in closed form from the arc's start alone: no node is scanned, no
+visit is missed, and no exit time depends on the grid.
 :func:`integrate_smooth` handles norms with single-valued dual
 gradients.  On a corner cone of the norm the control is constant, as
 on a polytope face, and the arc ends where the dual point leaves the
@@ -24,25 +28,18 @@ fourth-order Runge-Kutta step on the chart matrix advances the curve,
 recording crossings between smooth regimes of the dual energy by
 bisection.  :func:`integrate_polyhedral` handles polytope balls:
 between face events the maximizing control is constant, and each face
-switch is the exit of a gap between vertex supports.  When every
-bracket of the algebra is central (Heisenberg, translations) the dual
-point moves on a line along each arc, so the gap is piecewise linear
-and :func:`_line_arc` solves its exit in closed form, from the arc's
-start alone: no visit is missed and no event time depends on the grid.
-On other groups (``affine_line``, ``rotation``) the scan compares
-faces only at grid nodes, so a visit that starts and ends within one
-step is not seen.  The face after a switch is read off the dual
-point's velocity, so an instant pass through a lower face is one
-event.  Normal data does not determine the control on a set-valued
-face: the one selection rule picks the face's barycenter, scaled to
-the speed, and keeps it on every face containing that face.
+switch is the exit of a gap between vertex supports.  The face after a
+switch is read off the dual point's velocity, so an instant pass
+through a lower face is one event.  Normal data does not determine the
+control on a set-valued face: the one selection rule picks the face's
+barycenter, scaled to the speed, and keeps it on every face containing
+that face.
 
 No curve has a non-finite node: a :class:`Trajectory` rejects a chart
 point that overflowed, the integrators reject a speed, dual point,
-support value or dual point velocity that did, and all raise
-:class:`IntegrationError`, as does a face switch or cone exit that
-``brentq`` cannot solve, or a face switch that advances neither time
-nor face.
+switching value or dual point velocity that did, and all raise
+:class:`IntegrationError`, as does a face switch that advances neither
+time nor face.
 """
 
 from __future__ import annotations
@@ -59,10 +56,6 @@ from .polyhedra import Polyhedron
 # Fraction of the grid step used as the width of the smooth integrator's
 # regime-crossing bisection.
 EVENT_WIDTH_FACTOR = 1e-3
-# Face switches and cone exits on arcs are root-solved to rounding: the
-# least relative tolerance scipy's brentq accepts, and no absolute floor.
-_ROOT_RTOL = 4.0 * np.finfo(float).eps
-_ROOT_XTOL = np.finfo(float).tiny
 # Dual points with dual norm at or below this are treated as degenerate.
 DEGENERATE_DUAL_TOL = 1e-13
 # Default coincidence / divergence thresholds for branching detection.
@@ -192,17 +185,38 @@ def _embed(u_v: np.ndarray, dim: int, polarization: tuple[int, ...]
     return full
 
 
-def dual_derivative(spec: groups.GroupSpec, lam: np.ndarray, g: np.ndarray,
-                    u_v: np.ndarray,
-                    polarization: tuple[int, ...] | None = None
-                    ) -> np.ndarray:
-    """Time derivative of the dual point: lam o Ad_g o ad_u, restricted."""
-    pol = spec.polarization if polarization is None else tuple(polarization)
-    u_full = _embed(u_v, spec.dim, pol)
-    adj = groups.adjoint_matrix(spec, g)
-    ad_u = groups.ad_matrix(spec, u_full)
-    full = ad_u.T @ (adj.T @ np.asarray(lam, dtype=float))
-    return full[list(pol)]
+def arc_terms(spec: groups.GroupSpec, lam: np.ndarray, g: np.ndarray,
+              u_v: np.ndarray, polarization: tuple[int, ...] | None = None
+              ) -> tuple[np.ndarray, np.ndarray, float]:
+    """The terms of the dual point along the arc ``g exp(s u)``.
+
+    With ``A = ad_u^T`` and ``p = lam o Ad_g``, every registry group has
+    ``A^3 = q A`` for ``q = <A^3, A> / <A, A>``: 0 on the Heisenberg and
+    translation groups, ``b**2`` on ``affine_line``, ``-|u|**2`` on
+    ``rotation``.  So ``exp(s A) = 1 + S_q(s) A + C_q(s) A^2``, and the
+    dual point is
+
+        xi(s) = xi(0) + S_q(s) P A p + C_q(s) P A^2 p,
+
+    with ``S_q = sinh(r s)/r`` and ``C_q = (cosh(r s) - 1)/q`` for
+    ``q = r**2 > 0``, ``sin`` and ``1 - cos`` in their place for
+    ``q < 0``, and ``s`` and ``s**2/2`` at ``q = 0``.  Returns
+    ``(P A p, P A^2 p, q)``; the first is the dual point's velocity at
+    ``g``.  Raises FlowError if ``A^3 = q A`` fails beyond
+    ``groups.CLOSURE_TOL``, relative to ``A^3``.
+    """
+    pol = list(spec.polarization if polarization is None else polarization)
+    a = groups.ad_matrix(spec, _embed(u_v, spec.dim, pol)).T
+    a2 = a @ a
+    q = 0.0
+    if a2.any():
+        a3 = a2 @ a
+        q = float(np.vdot(a3, a) / np.vdot(a, a))
+        if abs(a3 - q * a).max() > groups.CLOSURE_TOL * abs(a3).max():
+            raise FlowError(f"{spec.name} arcs have no closed-form dual "
+                            f"point")
+    ap = a @ (groups.adjoint_matrix(spec, g).T @ np.asarray(lam, dtype=float))
+    return ap[pol], (a @ ap)[pol], q
 
 
 def _curve_speed(speed: float) -> float:
@@ -230,181 +244,80 @@ def arc(spec: groups.GroupSpec, lam: np.ndarray, u_v: np.ndarray, s,
     return pts, groups.coadjoint_dual_point(spec, lam, pts, polarization)
 
 
-def _probe(f, x: float) -> float:
-    """``f(x)`` as a float; RuntimeError if it is NaN."""
-    fx = float(f(x))
-    if math.isnan(fx):
-        raise RuntimeError(f"the function value at x={x!r} is NaN")
-    return fx
+def _first_rise(k0: np.ndarray, k1: np.ndarray, k2: np.ndarray,
+                q: float) -> float:
+    """The least ``s >= 0`` at which a form ``k0 + k1 S_q(s) + k2 C_q(s)``
+    of :func:`arc_terms` crosses zero upward, over the forms given as
+    arrays of their coefficients; inf if none does, NaN if a form's
+    discriminant overflows.
 
-
-def brentq(f, xa: float, xb: float, xtol: float, rtol: float,
-           maxiter: int = 100) -> float:
-    """A root of ``f`` in the bracket ``[xa, xb]`` by Brent's method.
-
-    A line-for-line port of scipy's ``brentq`` (Brent, *Algorithms for
-    Minimization Without Derivatives*, 1973, ch. 4): the same steps,
-    tolerances and result, bit for bit, without importing scipy.
-    Returns as soon as a probe is exactly zero or the bracket is below
-    ``xtol + rtol * |x|``.  Raises ValueError if the ends do not
-    bracket a sign change, and RuntimeError at a NaN probe or when
-    ``maxiter`` iterations do not converge.
+    In the half-angle variable ``tau = (2/r) tanh(r s/2)`` (``r**2 = q``;
+    ``tan`` for ``q < 0``, and ``tau = s`` at ``q = 0``) the kernels are
+    ``S = tau / d`` and ``C = tau**2 / (2 d)`` with ``d = 1 - q tau**2/4``
+    positive along the arc, and ``tau`` rises with ``s``.  So a form has
+    the sign of ``g(tau) = (k2/2 - q k0/4) tau**2 + k1 tau + k0`` and
+    crosses upward where ``g`` does: at its one root with ``g' > 0``, a
+    simple one (a touch is no crossing).  The root is taken in the form
+    that does not cancel; for a line (``q = 0 = k2``) that is the ratio
+    ``-k0 / k1``, taken as such.  For ``q < 0`` the form is periodic,
+    and the root is mapped into the first period.  A constant form
+    crosses nowhere (for ``q > 0`` its rising root is ``tau = 2/r``,
+    which is ``s = inf``, and would round to a finite one).
     """
-    xtol, rtol = float(xtol), float(rtol)
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = _probe(f, xpre), _probe(f, xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            # Where C divides by zero its step is inf or NaN, which the
-            # test below rejects as it rejects this inf.
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:
-                pass
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            # good short step
-            spre, scur = scur, stry
-        else:
-            # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0
-                                                 else -delta)
-        fcur = _probe(f, xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    if q == 0.0 and not k2.any():
+        # A line: the rising root is the ratio alone.
+        ahead = (k1 > 0.0) & (k0 <= 0.0)
+        return float(np.min(-k0[ahead] / k1[ahead], initial=math.inf))
+    curv = 0.5 * k2 - 0.25 * q * k0
+    disc = k1 * k1 - 4.0 * curv * k0
+    if not np.isfinite(disc).all():
+        return math.nan
+    cross = (disc > 0.0) & ((k1 != 0.0) | (k2 != 0.0))
+    k0, k1, curv = k0[cross], k1[cross], curv[cross]
+    root = np.sqrt(disc[cross])
+    # tau = (root - k1) / (2 curv) = -2 k0 / (k1 + root).
+    rising = k1 >= 0.0
+    num = np.where(rising, -2.0 * k0, root - k1)
+    den = np.where(rising, k1 + root, 2.0 * curv)
+    if q < 0.0:
+        w = math.sqrt(-q)
+        s = np.mod(np.arctan2(w * num, 2.0 * den), math.pi) * (2.0 / w)
+    else:
+        ahead = (num >= 0.0) & (den > 0.0)
+        s = num[ahead] / den[ahead]
+        if q > 0.0:
+            r = math.sqrt(q)
+            x = 0.5 * r * s
+            s = 2.0 * np.arctanh(x[x < 1.0]) / r
+    return float(np.min(s, initial=math.inf))
 
 
-def _scan_arc(spec: groups.GroupSpec, lam: np.ndarray,
+def _held_arc(spec: groups.GroupSpec, lam: np.ndarray,
               polarization: tuple[int, ...], g: np.ndarray | None,
-              u_v: np.ndarray, t0: float, xi0: np.ndarray, switch,
-              what: str, times: np.ndarray, points: np.ndarray,
-              duals: np.ndarray, controls: np.ndarray, k: int, span: int
+              u_v: np.ndarray, t0: float, forms: np.ndarray, q: float,
+              times: np.ndarray, points: np.ndarray, duals: np.ndarray,
+              controls: np.ndarray, k: int
               ) -> tuple[tuple[float, np.ndarray, np.ndarray] | None, int]:
-    """Walk the :func:`arc` of the held control ``u_v`` from ``g`` at
-    time ``t0``, where the dual point is ``xi0``, filling ``points``,
-    ``duals`` and ``controls`` from node ``k`` on until the arc exits.
+    """Walk the :func:`arc` of the held control ``u_v`` from ``g`` (the
+    identity if None) at time ``t0``, filling ``points``, ``duals`` and
+    ``controls`` from node ``k`` on until it exits.
 
-    The nodes are evaluated in windows of ``span`` nodes that double,
-    and the stacked switching function ``switch`` on their dual points.
-    The arc exits at the first sample strictly above zero after a
-    negative value, the start's or a node's: a start on a tie holds
-    until the value has been negative, and a value that touches zero
-    and turns negative again does not end the arc.  The sample before
-    the exit, at or below zero, is the low end of the bracket, and
-    ``brentq`` solves the exit to rounding on the arc's dual point; the
-    bracket ends keep the values the scan saw.
+    The arc exits where the first of the switching ``forms``, the rows
+    ``(k0, k1, k2)`` of :func:`arc_terms`' kernels, crosses zero upward
+    (:func:`_first_rise`), so a form that starts on a tie holds until it
+    has been negative.  That exit is read off the arc's start alone: the
+    nodes at or before it are one stacked :func:`arc`, and the exit is
+    one more, so nothing depends on the grid but which nodes are filled.
 
     Returns the exit as its offset from ``t0`` with the chart and dual
-    points there (None if the arc reaches the end of the grid), and the
-    node after the last one filled, which is the last node at or before
-    the exit.  Raises IntegrationError at the first node whose dual
-    point or switching value is not finite, and, naming ``what``, at the
-    low end if ``brentq`` fails.
-    """
-    # The low end: offset, switching value, chart point, dual point.
-    lo = 0.0, float(switch(xi0)), spec.identity() if g is None else g, xi0
-    armed = lo[1] < 0.0
-    while k < len(times):
-        s = times[k:k + span] - t0
-        pts, xis = arc(spec, lam, u_v, s, polarization, g)
-        sw = switch(xis)
-        finite = np.isfinite(xis).all(axis=-1) & np.isfinite(sw)
-        armed_at = np.logical_or.accumulate(sw < 0.0) | armed
-        ends = np.nonzero(~finite | ((sw > 0.0) & armed_at))[0]
-        keep = int(ends[0]) if len(ends) else len(s)
-        if keep < len(s) and not finite[keep]:
-            raise IntegrationError("dual point is not finite",
-                                   times[k + keep])
-        if keep:
-            lo = (float(s[keep - 1]), float(sw[keep - 1]), pts[keep - 1],
-                  xis[keep - 1])
-        root = None
-        if keep < len(s):
-            # Sample offset -> (switching value, chart point, dual point).
-            seen = {lo[0]: lo[1:],
-                    float(s[keep]): (float(sw[keep]), pts[keep], xis[keep])}
-
-            def value(s_: float) -> float:
-                if s_ not in seen:
-                    pt, xi = arc(spec, lam, u_v, s_, polarization, g)
-                    seen[s_] = float(switch(xi)), pt, xi
-                return seen[s_][0]
-
-            try:
-                root = brentq(value, lo[0], float(s[keep]), xtol=_ROOT_XTOL,
-                              rtol=_ROOT_RTOL)
-            except RuntimeError as exc:
-                raise IntegrationError(f"{what} not solved ({exc})",
-                                       t0 + lo[0]) from exc
-            keep = int(np.searchsorted(s, root, side="right"))
-        points[k:k + keep], duals[k:k + keep] = pts[:keep], xis[:keep]
-        controls[k:k + keep] = u_v
-        k += keep
-        if root is not None:
-            return (root, *seen[root][1:]), k
-        armed, span = bool(armed_at[-1]), 2 * span
-    return None, k
-
-
-def _line_arc(spec: groups.GroupSpec, lam: np.ndarray,
-              polarization: tuple[int, ...], g: np.ndarray, u_v: np.ndarray,
-              t0: float, xi0: np.ndarray, w: np.ndarray,
-              vertices: np.ndarray, members: np.ndarray, times: np.ndarray,
-              points: np.ndarray, duals: np.ndarray, controls: np.ndarray,
-              k: int) -> tuple[tuple[float, np.ndarray, np.ndarray] | None,
-                               int]:
-    """:func:`_scan_arc` for an arc whose dual point moves on the line
-    ``xi0 + s w``, with the outsider gap of the face ``members`` of
-    ``vertices`` as its switching function, solved in closed form.
-
-    Each support ``a_j + s b_j`` (``a = V xi0``, ``b = V w``) is linear,
-    and the members tie in both, so the face holds until the first
-    outsider that rises faster than the face catches up with it:
-    ``s* = min (a_F - a_j) / (b_j - b_F)`` over the outsiders with
-    ``b_j > b_F``, where ``a_F``, ``b_F`` are the members' maxima.  An
-    outsider that ties at the start falls behind (the face was chosen
-    as the velocity's subface), so no tie is a switch again.  The nodes
-    at or before ``s*`` are one stacked :func:`arc`, and the exit is one
-    more, so nothing depends on the grid but which nodes are filled.
-
-    Returns as :func:`_scan_arc` does, with no exit when ``t0 + s*``
-    is after the grid's last time.  Raises IntegrationError if a
-    support value, a filled node's dual point or the exit's is not
+    points there (None if it is after the grid's last time), and the
+    node after the last one filled.  Raises IntegrationError if a
+    switching value, a filled node's dual point or the exit's is not
     finite.
     """
-    a, b = vertices @ xi0, vertices @ w
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise IntegrationError("support value is not finite", t0)
-    a_f, b_f = np.max(a[members]), np.max(b[members])
-    rising = ~members & (b > b_f)
-    root = float(np.min((a_f - a[rising]) / (b[rising] - b_f),
-                        initial=math.inf))
+    root = _first_rise(*forms, q) if np.isfinite(forms).all() else math.nan
+    if math.isnan(root):
+        raise IntegrationError("switching value is not finite", t0)
     s = times[k:] - t0
     keep = int(np.searchsorted(s, root, side="right"))
     if keep:
@@ -456,11 +369,13 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
 
     On a corner cone of the norm (:meth:`~subfinsler.convex.Norm.corner_cone`)
     the control is constant, so a node strictly inside one holds its
-    control and :func:`_scan_arc` fills the following nodes on its
-    closed-form arc until the cone's switching function exits.  The
-    exit is one event at the root, from the cone's regime to the regime
-    of the first node after the exit, if that regime differs.  An arc
-    from the identity gives nodes that are exactly ``exp(t_k u)``.
+    control and :func:`_held_arc` fills the following nodes on its
+    closed-form arc until the first of the cone's forms crosses zero,
+    solved from the node alone.  Leaving the cone changes the regime, so
+    the exit is one event there, from the cone's regime to the regime of
+    the first node after the exit that differs from it (the node right
+    after may be on the cone's boundary by rounding).  An arc from the
+    identity gives nodes that are exactly ``exp(t_k u)``.
 
     Off the cones, fourth-order Runge-Kutta on the chart matrix, with a
     partial first step from a cone exit to the next grid node.  Regime
@@ -508,18 +423,18 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
     events: list[FaceEvent] = []
     regime = norm.regime_id(duals[0])
 
-    i = 0
+    # The last cone exit, until a node shows its change of regime.
+    i, exit_t = 0, None
     while i < n_steps:
         # One RK4 step to node i + 1, from node i or from the exit of the
         # cone arc that node i holds.
         g, u, t, h = points[i], controls[i], times[i], step
-        exit_t = None
-        switch = norm.corner_cone(duals[i])
-        if switch is not None:
-            g0 = None if i == 0 else g
-            exit_at, k = _scan_arc(spec, lam, pol, g0, u, t, duals[i],
-                                   switch, "cone exit", times, points, duals,
-                                   controls, i + 1, 1)
+        cone = norm.corner_cone(duals[i])
+        if cone is not None:
+            rate, curve, q = arc_terms(spec, lam, g, u, pol)
+            exit_at, k = _held_arc(spec, lam, pol, None if i == 0 else g, u,
+                                   t, cone(duals[i], rate, curve), q,
+                                   times, points, duals, controls, i + 1)
             i = k - 1
             if i == n_steps:
                 # The arc reaches the horizon, or exits on its last node.
@@ -554,6 +469,7 @@ def integrate_smooth(spec: groups.GroupSpec, norm: convex.Norm,
                         lo = mid
                 t_event = t + 0.5 * (lo + hi)
             events.append(FaceEvent(t_event, regime, new_regime))
+            exit_t = None
         regime = new_regime
         points[i + 1] = g_next
         i += 1
@@ -586,24 +502,20 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
 
         h(s) = max_{j not in F} v_j . xi(s) - max_{j in F} v_j . xi(s),
 
-    exceeds zero after a negative value, so a tie left by the previous
-    switch is not a switch again.  When every bracket of the algebra is
-    central (``[x, [y, z]] = 0``, read off ``spec.structure``) the dual
-    point is ``xi0 + s w`` along each arc, with ``w`` the velocity the
-    face was chosen by, and :func:`_line_arc` solves the exit in closed
-    form: a least ratio, no node scan and no ``brentq``, so event times
-    do not depend on ``step``.  Otherwise :func:`_scan_arc` walks the
-    arc, whose first window is the previous arc's node count, and
-    solves the exit with ``brentq``; there faces are compared only at
-    grid nodes, so a visit that starts and ends within one step, or a
-    tangential touch, is not seen.
+    crosses zero upward, so a tie left by the previous switch is not a
+    switch again.  Each support ``v_j . xi(s)`` is a form of
+    :func:`arc_terms`' kernels, and the members tie in its first two
+    coefficients, so ``h`` is the max of the outsiders' forms less the
+    face's, and :func:`_held_arc` solves its exit in closed form: event
+    times do not depend on ``step``, and a visit that starts and ends
+    within one step is seen.
 
     The face after a switch is the subface of the touching face that
-    the dual point's velocity (:func:`dual_derivative`, under the
-    current control) exposes, reselecting the control until face and
-    control agree; so an instant pass through a lower face (vertex,
-    edge, vertex) is one event, and event times increase strictly.  A
-    start face that splits at once gives an event at t = 0, and
+    the dual point's velocity (:func:`arc_terms`, under the current
+    control) exposes, reselecting the control until face and control
+    agree; so an instant pass through a lower face (vertex, edge,
+    vertex) is one event, and event times increase strictly.  A start
+    face that splits at once gives an event at t = 0, and
     ``controls[0]`` holds the control the curve leaves with.
     """
     poly = convex.as_polyhedron(norm)
@@ -613,21 +525,23 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
 
     def face_after(touch, t: float, g: np.ndarray, u: np.ndarray, picked):
         """The face the dual point enters from ``touch``, its control,
-        the face ``picked`` that control was picked on, and the dual
-        point's velocity under that control.
+        the face ``picked`` that control was picked on, and the vertex
+        supports' :func:`arc_terms` under that control: their rates,
+        their second terms, and ``q``.
 
         ``u`` is kept on every face that contains ``picked``; any other
-        face gets a control picked on it, and the velocity is taken
-        again under that control.
+        face gets a control picked on it, and the terms are taken again
+        under that control.
         """
         tried: set[int] = set()
         while True:
-            velocity = dual_derivative(spec, lam, g, u, pol)
-            if not np.isfinite(poly.vertices @ velocity).all():
+            velocity, curve, q = arc_terms(spec, lam, g, u, pol)
+            rates = poly.vertices @ velocity
+            if not np.isfinite(rates).all():
                 raise IntegrationError("dual point velocity overflows", t)
             face = poly.subface(touch, velocity)
             if picked.vertex_set <= face.vertex_set:
-                return face, u, picked, velocity
+                return face, u, picked, (rates, poly.vertices @ curve, q)
             if face.fid in tried:
                 raise IntegrationError("no face after the event keeps its "
                                        "own control", t)
@@ -646,7 +560,7 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
     xi = groups.coadjoint_dual_point(spec, lam, g, pol)
     touch = poly.face_of(xi)
     u = _select_control(poly, touch, speed)
-    face, u, picked, velocity = face_after(touch, 0.0, g, u, touch)
+    face, u, picked, terms = face_after(touch, 0.0, g, u, touch)
     events: list[FaceEvent] = []
     if face.fid != touch.fid:
         events.append(FaceEvent(0.0, touch.fid, face.fid))
@@ -656,37 +570,26 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
     duals[0] = xi
     face_ids[0] = touch.fid
 
-    # Every bracket is central exactly when [x, [y, z]] = 0 for all x,
-    # y, z; then Ad_{exp(sU)} = 1 + s ad_U and the dual point moves on a
-    # line along each arc.
-    linear = not np.einsum("jkm,imn->ijkn", spec.structure,
-                           spec.structure).any()
-    t_seg, k, span = 0.0, 1, 1
+    t_seg, k = 0.0, 1
     while k <= n_steps:
+        rates, bends, q = terms
+        supports = np.array([poly.vertices @ xi, rates, bends])
         members = np.zeros(len(poly.vertices), dtype=bool)
         members[list(face.vertex_ids)] = True
+        # The members' largest second term is the face's own form for
+        # every s, as C_q >= 0.
+        forms = (supports[:, ~members]
+                 - supports[:, members].max(axis=1, keepdims=True))
         first = k
-        if linear:
-            exit_at, k = _line_arc(spec, lam, pol, g, u, t_seg, xi, velocity,
-                                   poly.vertices, members, times, points,
-                                   duals, controls, k)
-        else:
-            def gap(xis: np.ndarray) -> np.ndarray:
-                vals = xis @ poly.vertices.T
-                return (np.max(vals[..., ~members], axis=-1)
-                        - np.max(vals[..., members], axis=-1))
-
-            exit_at, k = _scan_arc(spec, lam, pol, g, u, t_seg, xi, gap,
-                                   "face switch", times, points, duals,
-                                   controls, k, span)
+        exit_at, k = _held_arc(spec, lam, pol, g, u, t_seg, forms, q, times,
+                               points, duals, controls, k)
         face_ids[first:k] = face.fid
         if exit_at is None:
             break
         root, g, xi = exit_at
         t_next = t_seg + root
         touch = poly.face_of(xi)
-        new_face, u, picked, velocity = face_after(touch, t_next, g, u,
-                                                   picked)
+        new_face, u, picked, terms = face_after(touch, t_next, g, u, picked)
         if new_face.fid != face.fid:
             events.append(FaceEvent(t_next, face.fid, new_face.fid))
             if len(events) > MAX_SWITCHES:
@@ -696,7 +599,6 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
             raise IntegrationError("a face switch advanced neither "
                                    "time nor face", t_seg)
         face, t_seg = new_face, t_next
-        span = max(k - first, 1)
 
     return Trajectory(group=spec, norm=norm, polarization=pol, lam=lam,
                       times=times, points=points, controls=controls,

@@ -308,7 +308,7 @@ def _heisenberg_scenario(path, family, dim, covector, **extra):
 @pytest.mark.parametrize("command, family, dim, covector", [
     # The dual point's velocity overflows at the first face choice.
     ("integrate", "linf", 3, [1e154, 1e154, 1e154]),
-    # brentq cannot converge on a switch at t = 1.6e-17.
+    # Switches 1.6e-17 apart exhaust the face switch budget.
     ("integrate", "l1", 2, [0.3, 0.5, 1e17]),
     # A switch root at t = 1.1e-308 stops the arc: the segment loop
     # used to repeat the same state forever.
@@ -332,6 +332,8 @@ def test_overflowing_covector_exits_3_in_a_subprocess(tmp_path, command,
         capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 3
     assert "numerical failure:" in proc.stderr
+    if covector == [0.3, 0.5, 1e17]:
+        assert "exceeded face switch budget (1001 events)" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert list(out.iterdir()) == []
 

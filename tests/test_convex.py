@@ -447,23 +447,32 @@ def test_regime_ids_frozen():
 
 
 def test_corner_cones_frozen():
+    # Each cone maps the coefficients (a, b, c) of a held arc
+    # xi = a + S b + C c to the rows (k0, k1, k2) of its forms.
     assert EuclideanNorm(2).corner_cone([0.0, 1.0]) is None
     assert MaxNorm(2).corner_cone([0.0, 1.0]) is None
     corner = CornerNorm()
-    switch = corner.corner_cone([0.5, 1.0])
-    assert np.array_equal(switch(np.array([[0.5, 1.0], [1.0, -1.0],
-                                           [2.0, 1.0]])), [-0.5, 0.0, 1.0])
+    forms = corner.corner_cone([0.5, 1.0])
+    # The planar cap |x| - |h|: +-x - |h|, with h held.
+    arc = np.array([[0.5, -1.0], [0.25, 0.0], [2.0, 0.0]])
+    assert np.array_equal(forms(*arc), [[-0.5, -1.5], [0.25, -0.25],
+                                        [2.0, -2.0]])
     # The cap's edge belongs to the cap's regime, but not strictly.
     assert corner.corner_cone([1.0, 1.0]) is None
     assert corner.corner_cone([1.0, 0.5]) is None
     axis = AxisCornerNorm()
-    assert axis.corner_cone([-1.0, 0.3, 0.4])([1.0, 0.3, 0.4]) == -0.5
+    forms = axis.corner_cone([-1.0, 0.3, 0.4])
+    # |P xi|**2 - h**2: (|Pa|**2 - h**2, 2 Pa . Pb, 2 |Pb|**2 + 2 Pa . Pc).
+    arc = np.array([[-1.0, 0.5, 0.0], [0.0, 0.25, 1.0], [0.0, 2.0, 0.0]])
+    assert np.array_equal(forms(*arc), [[-0.75], [0.25], [4.125]])
     assert axis.corner_cone([0.5, 0.3, 0.4]) is None
     root = RootSumNorm(3)
-    switch = root.corner_cone([2.0, 0.3, -0.4])
-    assert switch([2.0, 0.3, -0.4]) == pytest.approx(-0.6, abs=1e-15)
-    stack = np.array([[2.0, 1.0, 0.0], [-4.0, 1.0, 0.5]])
-    assert np.array_equal(switch(stack), [0.0, -1.0])
+    forms = root.corner_cone([2.0, 0.25, -0.5])
+    # One active coordinate: +-xi_j - |xi_i| / 2 over the others.
+    arc = np.array([[2.0, 0.25, -0.5], [0.0, 0.5, 0.125], [0.0, 0.0, 1.0]])
+    assert np.array_equal(forms(*arc), [[-0.75, -1.5, -1.25, -0.5],
+                                        [0.5, 0.125, -0.5, -0.125],
+                                        [0.0, 1.0, 0.0, -1.0]])
     assert root.corner_cone([2.0, 1.0, 0.0]) is None
     assert root.corner_cone([1.0, 0.9, 0.0]) is None
 

@@ -21,10 +21,10 @@ from subfinsler import (
     RootSumNorm,
     SumNorm,
     affine_line_group,
+    arc_terms,
     check_constant_speed,
     detect_branching,
     coadjoint_dual_point,
-    dual_derivative,
     heisenberg_group,
     integrate_polyhedral,
     integrate_smooth,
@@ -122,12 +122,14 @@ def test_affine_cap_exits_of_the_acceptance_runs(affine_runs):
 
 def test_root_sum_pair_exits_at_the_linear_root():
     # One active coordinate holds u = (1, 0, 0), so xi2 = 0.3 + 0.4 t
-    # meets xi1 / 2 = 1 at t = 1.75, which is grid node 1750.
+    # meets xi1 / 2 = 1 at t = 0.7 / 0.4, the ratio read off the arc's
+    # start, which rounds below grid node 1750 (t = 1.75).
     traj = integrate_smooth(heisenberg_group(), RootSumNorm(3),
                             [2.0, 0.3, 0.4], 3.0, 1e-3)
     [event] = traj.events
-    # The switching value is exactly 0 on that node, and the exit is it.
-    assert event.t == 1.75
+    # Node 1750 is on the cone's edge, in the cone's regime; the exit is
+    # still the event, to the regime of node 1751.
+    assert event.t == 0.7 / 0.4
     assert (event.from_face, event.to_face) == (22, 25)
 
 
@@ -184,8 +186,8 @@ def test_cone_exits_after_a_lap_are_linear_roots(norm, lam, bound, entries):
             k -= 1
         starts.append(k)
         xi = traj.duals[k]
-        rate = dual_derivative(spec, np.asarray(lam), traj.points[k],
-                               traj.controls[k], pol)
+        rate = arc_terms(spec, np.asarray(lam), traj.points[k],
+                         traj.controls[k], pol)[0]
         j, edge = bound(xi)
         to_go = math.copysign(edge, rate[j]) - xi[j]
         root = traj.times[k] + to_go / rate[j]
@@ -264,8 +266,10 @@ def test_degenerate_covector_raises():
     # Each run used to return non-finite nodes.
     (heisenberg_group(), EuclideanNorm(2), [0.3, 0.5, 1e308], 0.1, 0.01,
      (0, 1), "dual point is not finite"),
-    (affine_line_group(), MaxNorm(2), [7.8, 26445.6], 2.0, 0.5, None,
-     "dual point is not finite at t=0.5"),
+    # The edge's control is a pure dilation that holds xi = (0, 1000):
+    # exp(1000 t B2) overflows from t = 0.71 on, and t = 1 is a node.
+    (affine_line_group(), MaxNorm(2), [0.0, 1000.0], 2.0, 0.5, None,
+     "dual point is not finite at t=1"),
     # Only the chart overflows; the dual point stays put.
     (heisenberg_group(), CornerNorm(), [0.0, 0.0, 1e308], 10.0, 1.0,
      (0, 2), "chart point is not finite"),
@@ -276,17 +280,36 @@ def test_degenerate_covector_raises():
     # and wrong.
     (affine_line_group(), CornerNorm(), [0.0, 1000.0], 1.0, 0.01, None,
      "dual point is not finite at t=0.71"),
-    # The face arcs stay finite to t = 17.9; t = 18 is the first node
-    # that overflows.
+    # The same on a vertex of an octagon: its arc stays finite to
+    # t = 3.6, and t = 3.7 is the first node that overflows.
     (affine_line_group(),
      PolyhedralNorm(regular_polygon_ball(8, 0.9669719061665745)),
-     [93.88052906289462, 199.19178435750567], 37.7, 0.1, None,
-     "dual point is not finite at t=18"),
+     [0.0, 199.19178435750567], 37.7, 0.1, None,
+     "dual point is not finite at t=3.7"),
 ])
 def test_overflowing_run_raises(spec, norm, lam, t_end, step, pol,
                                 message):
     with pytest.raises(IntegrationError, match=message):
         flow.integrate(spec, norm, lam, t_end, step, polarization=pol)
+
+
+@pytest.mark.parametrize("ball, lam, first", [
+    (linf_ball(2), [7.8, 26445.6], math.log(1.0 + 26445.6 / 7.8) / 26453.4),
+    (regular_polygon_ball(8, 0.9669719061665745),
+     [93.88052906289462, 199.19178435750567], None),
+], ids=["square", "octagon"])
+def test_switches_before_an_overflowing_node_are_solved(ball, lam, first):
+    # Each run switches within its first step onto a vertex whose arc
+    # contracts.  A node scan needed the first node, where the arc it
+    # left had overflowed; the closed form needs only the arc's start,
+    # so the run is finite and its events are those of a fine grid.
+    runs = [integrate_polyhedral(affine_line_group(), PolyhedralNorm(ball),
+                                 lam, 2.0, step) for step in (0.5, 1e-3)]
+    assert runs[0].events == runs[1].events
+    assert runs[0].events[-1].t < 0.5
+    if first is not None:
+        assert runs[0].events[0].t == pytest.approx(first, rel=1e-12)
+    assert np.isfinite(runs[0].duals).all()
 
 
 def test_speed_check_fails_on_nan_nodes():
@@ -463,137 +486,68 @@ def test_nonlinear_gap_events_are_exact_ties(name):
             assert vertex @ xi == pytest.approx(traj.speed, abs=1e-12)
 
 
-def _probed(f, probes):
-    def g(s):
-        probes.append(s)
-        return f(s)
-    return g
+def _skewed_cube(rng: np.random.Generator) -> Polyhedron:
+    """The cube under a random linear map near the identity."""
+    skew = np.eye(3) + 0.3 * rng.uniform(-1.0, 1.0, (3, 3))
+    return Polyhedron.from_vertices(linf_ball(3).vertices @ skew.T)
 
 
-def _flat_then_steep(s):
-    return max(-1.0, math.expm1(40.0 * (s - 0.7)))
+def _duals_by_expm(spec, lam, g, u, s):
+    """Dual points of ``g exp(s u)`` for a stack of offsets ``s``, by
+    scipy's expm and explicit conjugation solved by least squares, on
+    the full polarization."""
+    pts = g @ expm(np.multiply.outer(s, np.einsum("i,iab->ab", u,
+                                                  spec.basis)))
+    conj = (pts[:, None] @ spec.basis[None]) @ np.linalg.inv(pts)[:, None]
+    flat = spec.basis.reshape(spec.dim, -1).T
+    coords = np.linalg.lstsq(flat, conj.reshape(-1, flat.shape[0]).T,
+                             rcond=None)[0]
+    # coords[k, n * dim + j] is coordinate k of Ad_{g_n} B_j.
+    adj = coords.reshape(spec.dim, len(s), spec.dim).transpose(1, 0, 2)
+    return np.einsum("k,nkj->nj", lam, adj), pts[-1]
 
 
-def _underflowing(s):
-    # Each probe is a nonzero value whose pairwise products underflow
-    # to -0.0: a sign test by product would see no sign change.
-    return 1e-200 * ((s - 0.3) if s < 0.7 else (s - 0.3) ** 3)
+EXPONENTIAL_RUNS = (
+    [("affine", seed) for seed in (0, 6, 30)]
+    + [("rotation", seed) for seed in (3, 6, 17)])
 
 
-# Gaps of the forms a face switch takes along an arc (linear on the
-# Heisenberg group, exponential on affine_line, trigonometric on
-# rotation), roots at either end, a flat start and a steep end.
-BRENT_CASES = [
-    ("linear", lambda s: 0.7 * s - 0.3, 0.0, 1.0),
-    ("exponential", lambda s: 1.0 - 2.0 * math.exp(-1.3 * s), 0.0, 2.0),
-    ("trigonometric", lambda s: (0.2 - 0.5 * math.cos(2.5 * s)
-                                 + 0.3 * math.sin(2.5 * s)), 0.0, 1.0),
-    ("root at the low end", lambda s: s * (s + 1.0), 0.0, 1.0),
-    ("root at the high end", lambda s: s - 1.0, 0.0, 1.0),
-    ("flat then steep", _flat_then_steep, 0.0, 1.0),
-    ("underflowing", _underflowing, 0.0, 1.0),
-]
-
-
-@pytest.mark.parametrize("name, f, a, b", BRENT_CASES,
-                         ids=[c[0] for c in BRENT_CASES])
-def test_brentq_port_matches_scipy_bitwise(name, f, a, b):
-    from scipy.optimize import brentq as scipy_brentq
-
-    assert f(a) <= 0.0 < f(b) or f(b) == 0.0
-    tols = {"xtol": flow._ROOT_XTOL, "rtol": flow._ROOT_RTOL}
-    ours, theirs = [], []
-    root = flow.brentq(_probed(f, ours), a, b, **tols)
-    assert root == scipy_brentq(_probed(f, theirs), a, b, **tols)
-    assert ours == theirs
-
-
-def test_brentq_port_fails_to_converge_like_scipy():
-    from scipy.optimize import brentq as scipy_brentq
-
-    tols = {"xtol": flow._ROOT_XTOL, "rtol": flow._ROOT_RTOL, "maxiter": 3}
-    f = BRENT_CASES[1][1]
-    with pytest.raises(RuntimeError) as ours:
-        flow.brentq(f, 0.0, 2.0, **tols)
-    with pytest.raises(RuntimeError) as theirs:
-        scipy_brentq(f, 0.0, 2.0, **tols)
-    assert str(ours.value) == str(theirs.value)
-
-
-def test_brentq_raises_runtime_error_at_a_nan_probe():
-    def f(s):
-        return s - 0.3 if s in (0.0, 1.0) else math.nan
-
-    with pytest.raises(RuntimeError, match="NaN"):
-        flow.brentq(f, 0.0, 1.0, flow._ROOT_XTOL, flow._ROOT_RTOL)
-
-
-def test_nan_switch_probe_is_an_integration_error():
-    # Finite at the grid nodes, NaN between them: the exit's bracket is
-    # found and its first probe stops the scan.
-    starts = []
-
-    def switch(xis):
-        if np.ndim(xis) == 2:
-            return xis[:, 1] - 0.55
-        starts.append(xis)
-        return xis[1] - 0.55 if len(starts) == 1 else math.nan
-
-    spec, lam, pol = heisenberg_group(), np.array([0.0, 0.0, 1.0]), (0, 1)
-    times = 0.1 * np.arange(11)
-    xi0 = coadjoint_dual_point(spec, lam, spec.identity(), pol)
-    n = len(times)
-    with pytest.raises(IntegrationError, match="face switch not solved"):
-        flow._scan_arc(spec, lam, pol, None, np.array([1.0, 0.0]), 0.0, xi0,
-                       switch, "face switch", times, np.empty((n, 3, 3)),
-                       np.empty((n, 2)), np.empty((n, 2)), 1, 1)
-    assert len(starts) == 2
-
-
-def test_each_root_probe_evaluates_the_arc_once(monkeypatch):
-    # The scan hands its exit's chart and dual point on, so on rotation
-    # and on the cone runs the only one-offset arc evaluations are the
-    # root solves' inner probes, each evaluated once: no integrator
-    # evaluates the arc at a root again.  On the Heisenberg group every
-    # face switch is solved in closed form: one one-offset evaluation at
-    # the exit, and no root solve.
-    single, probes = [], []
-    arc, brentq = flow.arc, flow.brentq
-
-    def counted_arc(spec, lam, u_v, s, *args):
-        if np.ndim(s) == 0:
-            single.append(s)
-        return arc(spec, lam, u_v, s, *args)
-
-    def recorded_brentq(f, xa, xb, *args, **kwargs):
-        seen = set()
-
-        def probe(x):
-            seen.add(x)
-            return f(x)
-
-        root = brentq(probe, xa, xb, *args, **kwargs)
-        probes.append(seen - {xa, xb})
-        return root
-
-    monkeypatch.setattr(flow, "arc", counted_arc)
-    monkeypatch.setattr(flow, "brentq", recorded_brentq)
-    heis = integrate_polyhedral(heisenberg_group(), MaxNorm(2),
-                                [0.3, 0.5, 0.8], 3.0, 1e-2,
-                                polarization=(0, 1))
-    assert len(heis.events) == len(single) == 3
-    assert probes == []
-    single.clear()
-    runs = [
-        integrate_polyhedral(rotation_group(), MaxNorm(3),
-                             [1.0, 0.3, 0.2], 3.0, 1e-2),
-        integrate_smooth(affine_line_group(), CornerNorm(), [0.5, 1.0],
-                         1.0, 1e-3),
-        integrate_smooth(rotation_group(), RootSumNorm(3),
-                         [0.3, 1.0, -0.5], 3.0, 1e-2),
-    ]
-    assert all(run.events for run in runs)
-    assert len(single) == sum(map(len, probes)) > 0
+@pytest.mark.parametrize("kind, seed", EXPONENTIAL_RUNS,
+                         ids=[f"{k}{s}" for k, s in EXPONENTIAL_RUNS])
+def test_exponential_arc_events_are_exact_ties_on_any_step(kind, seed):
+    # On affine_line and rotation each switch is solved in closed form
+    # from the previous exit, so no event time depends on the grid, by
+    # one bit.  Rebuilt by scipy's expm and explicit conjugation, each
+    # event is a tie between the vertex left and the vertex entered, and
+    # the held vertex is the best one at every 1e-4 between events.
+    rng = np.random.default_rng(seed)
+    if kind == "affine":
+        spec, ball = affine_line_group(), _random_polygon(rng, 4)
+    else:
+        spec, ball = rotation_group(), _skewed_cube(rng)
+    lam = rng.standard_normal(spec.dim)
+    runs = [integrate_polyhedral(spec, PolyhedralNorm(ball), lam, 2.0, step)
+            for step in (1e-1, 1e-2, 1e-3)]
+    events = [[(e.t, e.from_face, e.to_face) for e in run.events]
+              for run in runs]
+    assert events[0] == events[1] == events[2] != []
+    traj = runs[1]
+    vertex = [ball.vertices[f.vertex_ids[0]] if f.dim == 0 else None
+              for f in ball.faces()]
+    g, t_prev, u = spec.identity(), 0.0, traj.controls[0]
+    held = traj.face_ids[0]
+    for e in [*traj.events, None]:
+        t_next = 2.0 if e is None else e.t
+        s = np.append(np.arange(0.0, t_next - t_prev, 1e-4), t_next - t_prev)
+        xis, g = _duals_by_expm(spec, lam, g, u, s)
+        gaps = xis @ ball.vertices.T - (xis @ vertex[held])[:, None]
+        assert np.max(gaps) <= 1e-12
+        if e is None:
+            break
+        assert e.from_face == held
+        tie = xis[-1] @ (vertex[e.from_face] - vertex[e.to_face])
+        assert abs(tie) <= 1e-12
+        t_prev, held, u = e.t, e.to_face, traj.speed * vertex[e.to_face]
 
 
 @pytest.mark.parametrize("norm, lam, pol", [
@@ -606,10 +560,7 @@ def test_linear_arc_events_do_not_depend_on_the_step(monkeypatch, norm, lam,
     # supports, read off the previous exit alone, so the grid changes
     # which nodes are filled but not one bit of an event time.  Each
     # node after t = 0 is one exp row and each switch one more; nothing
-    # is scanned or bracketed.
-    def refused(*args, **kwargs):
-        raise AssertionError("arc scanned or root bracketed")
-
+    # is scanned.
     rows = []
     original = groups.exp
 
@@ -617,8 +568,6 @@ def test_linear_arc_events_do_not_depend_on_the_step(monkeypatch, norm, lam,
         rows.append(int(np.prod(np.shape(coords)[:-1])))
         return original(spec, coords)
 
-    monkeypatch.setattr(flow, "brentq", refused)
-    monkeypatch.setattr(flow, "_scan_arc", refused)
     monkeypatch.setattr(groups, "exp", counting_exp)
     times = []
     for step in (1e-1, 1e-2, 1e-3):
@@ -631,12 +580,9 @@ def test_linear_arc_events_do_not_depend_on_the_step(monkeypatch, norm, lam,
     assert times[0] == times[1] == times[2]
 
 
-def test_vanishing_center_covector_needs_no_root_solve(monkeypatch):
-    # lam3 = 0: the dual point is constant, so the face never changes.
-    def no_root(*args, **kwargs):
-        raise AssertionError("brentq called")
-
-    monkeypatch.setattr(flow, "brentq", no_root)
+def test_vanishing_center_covector_needs_no_root_solve():
+    # lam3 = 0: the dual point is constant, so every outsider's form is
+    # a constant, and the face never changes.
     traj = integrate_polyhedral(heisenberg_group(), MaxNorm(2),
                                 [0.3, -0.5, 0.0], 3.0, 1e-2,
                                 polarization=(0, 1))
@@ -696,7 +642,7 @@ def _touching_ball(lift: float) -> tuple[Polyhedron, np.ndarray]:
 
     s_t, h = 0.255, 1e-4
     xi_t = xi(s_t)
-    d = dual_derivative(rot, lam, group_exp(rot, s_t * u), u)
+    d = arc_terms(rot, lam, group_exp(rot, s_t * u), u)[0]
     n = np.cross(xi_t, d)
     n /= np.linalg.norm(n)
     curve = (xi(s_t + h) - 2.0 * xi(s_t) + xi(s_t - h)) / h ** 2
@@ -705,17 +651,25 @@ def _touching_ball(lift: float) -> tuple[Polyhedron, np.ndarray]:
     return Polyhedron.from_vertices(np.vstack([cube, w, -w])), lam
 
 
-@pytest.mark.parametrize("lift", [0.0, 1e-6], ids=["touch", "short_visit"])
-def test_visits_within_one_step_are_not_seen(lift):
-    # Faces are compared at grid nodes only: a tangential touch, or a
-    # visit that starts and ends between two nodes, logs no event.
-    # (Heisenberg gaps are linear, so there no visit can hide.)
+@pytest.mark.parametrize("lift", [0.0, 1e-9], ids=["touch", "short_visit"])
+def test_visits_within_one_step_are_seen(lift):
+    # Each switch is solved from the arc's start, not from grid nodes: a
+    # visit to w that starts and ends between two nodes logs both its
+    # events, on any step, and a tangential touch, which crosses
+    # nowhere, logs none.
     ball, lam = _touching_ball(lift)
     assert len(ball.vertices) == 10
-    traj = integrate_polyhedral(rotation_group(), PolyhedralNorm(ball), lam,
-                                0.5, 1e-2)
-    assert traj.events == []
-    assert traj.speed == pytest.approx(1.6, abs=1e-12)
+    runs = [integrate_polyhedral(rotation_group(), PolyhedralNorm(ball), lam,
+                                 0.5, step) for step in (1e-2, 1e-3)]
+    assert runs[0].events == runs[1].events
+    assert runs[0].speed == pytest.approx(1.6, abs=1e-12)
+    if lift == 0.0:
+        assert runs[0].events == []
+        return
+    there, back = runs[0].events
+    assert ball.faces()[there.to_face].dim == 0
+    assert (back.from_face, back.to_face) == (there.to_face, there.from_face)
+    assert 0.25 < there.t < back.t < 0.26
 
 
 def test_segment_windows_stay_linear(monkeypatch):
@@ -757,7 +711,81 @@ def test_abelian_curves_are_straight():
     assert np.allclose(smooth_traj.controls[0], [0.6, -0.8], atol=1e-12)
 
 
-# -- dual derivative ---------------------------------------------------------
+# -- arc terms ---------------------------------------------------------------
+
+
+def _random_specs():
+    return [heisenberg_group(), affine_line_group(), rotation_group(),
+            translation_group(2), translation_group(3)]
+
+
+def _kernels(q, s):
+    """S_q and C_q at the offsets s, written out per sign of q."""
+    if q > 0.0:
+        r = math.sqrt(q)
+        return np.sinh(r * s) / r, (np.cosh(r * s) - 1.0) / q
+    if q < 0.0:
+        w = math.sqrt(-q)
+        return np.sin(w * s) / w, (1.0 - np.cos(w * s)) / -q
+    return s, 0.5 * s * s
+
+
+@pytest.mark.parametrize("spec", _random_specs(), ids=lambda s: s.name)
+def test_arc_terms_close_the_dual_point(spec, rng):
+    # A = ad_U^T has A^3 = q A on every registry group, with q = 0 on the
+    # nilpotent and abelian ones, b**2 on affine_line and -|U|**2 on
+    # rotation; so flow.arc's dual points are xi0 + S_q b + C_q c.
+    s = np.linspace(0.0, 1.5, 16)
+    worst = 0.0
+    for _ in range(200):
+        lam = rng.standard_normal(spec.dim)
+        u = rng.standard_normal(spec.dim)
+        g = group_exp(spec, rng.standard_normal(spec.dim))
+        b, c, q = arc_terms(spec, lam, g, u)
+        a = groups.ad_matrix(spec, u).T
+        a3 = a @ a @ a
+        assert np.max(np.abs(a3 - q * a)) <= 1e-14 * np.max(np.abs(a3))
+        expected = {"affine_line": u[1] ** 2, "rotation": -(u @ u)}
+        assert q == pytest.approx(expected.get(spec.name, 0.0), rel=1e-14)
+        if spec.name not in expected:
+            assert not c.any()
+        xi0 = coadjoint_dual_point(spec, lam, g)
+        big_s, big_c = _kernels(q, s)
+        closed = xi0 + np.outer(big_s, b) + np.outer(big_c, c)
+        xis = flow.arc(spec, lam, u, s, spec.polarization, g)[1]
+        scale = np.max(np.abs(xis))
+        worst = max(worst, float(np.max(np.abs(closed - xis))) / scale)
+    assert worst <= 1.6e-12
+
+
+@pytest.mark.parametrize("spec", [heisenberg_group(), translation_group(3),
+                                  rotation_group()], ids=lambda s: s.name)
+def test_axis_corner_cap_drops_only_vanishing_terms(spec, rng):
+    # On the cap the control is h e_1, and |P xi(s)|**2 - h**2 has two
+    # terms beyond AxisCornerNorm's form: S C with coefficient
+    # 2 Pb . Pc, and C**2 with q |Pb|**2 + |Pc|**2.  Both vanish exactly
+    # where A**2 p = 0, and on rotation, where Pb and Pc are Pa turned
+    # and scaled, to rounding.
+    norm = AxisCornerNorm()
+    seen = 0
+    for _ in range(200):
+        lam = rng.standard_normal(3)
+        g = group_exp(spec, rng.standard_normal(3))
+        xi0 = coadjoint_dual_point(spec, lam, g)
+        if norm.corner_cone(xi0) is None:
+            continue
+        seen += 1
+        b, c, q = arc_terms(spec, lam, g, norm.grad_dual_energy(xi0))
+        pb, pc = b[1:], c[1:]
+        cross, square = 2.0 * (pb @ pc), q * (pb @ pb) + pc @ pc
+        if spec.name != "rotation":
+            assert cross == 0.0 and square == 0.0
+            continue
+        scale = abs(q) * (pb @ pb) + pc @ pc + 2.0 * np.linalg.norm(pb) * \
+            np.linalg.norm(pc)
+        assert abs(cross) <= 7e-15 * scale
+        assert abs(square) <= 7e-15 * scale
+    assert seen > 20
 
 
 def test_dual_derivative_matches_finite_differences(rng):
@@ -770,7 +798,7 @@ def test_dual_derivative_matches_finite_differences(rng):
         plus = coadjoint_dual_point(spec, lam, g @ group_exp(spec, eps * u))
         minus = coadjoint_dual_point(spec, lam, g @ group_exp(spec, -eps * u))
         numeric = (plus - minus) / (2.0 * eps)
-        analytic = dual_derivative(spec, lam, g, u)
+        analytic = arc_terms(spec, lam, g, u)[0]
         assert np.max(np.abs(numeric - analytic)) <= 1e-7
 
 
