@@ -39,7 +39,8 @@ def main() -> None:
     print(f"adjoint bracket bound M = bracket * exp(radius * rate) = "
           f"{m.bracket:.6g} * exp({m.radius:.6g} * {m.rate:.6g}) "
           f"= {m.value:.6g}")
-    print(f"window = delta / (dual size * M) = {cert.window:.6g}")
+    print(f"window = delta / (dual size * M * c^2) with ball scale "
+          f"c = {cert.ball_scale:.6g}: {cert.window:.6g}")
     print(f"verdict: {'stable on every window' if cert.verdict else 'VIOLATED'}")
     for bad in cert.violations:
         print(f"  incompatible faces {bad['face_ids']} inside "

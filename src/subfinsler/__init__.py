@@ -94,6 +94,7 @@ from .certify import (
     StabilityCertificate,
     abelianized_minimality,
     adjoint_bracket_bound,
+    ball_scale,
     certify_trajectory,
     finsler_short_bound,
     stability_window,

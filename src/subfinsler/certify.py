@@ -9,10 +9,12 @@ a bound ``M`` on how fast the adjoint action can move dual points,
 where ``N`` is the max norm on algebra coordinates and the distance is
 the sub-Finsler one of the curve's own ball (:func:`adjoint_bracket_bound`
 gives ``M`` in closed form); and the observation that the dual point of
-a normal curve of speed ``r`` moves at rate at most ``r * N*(lam) * M``.
+a normal curve of speed ``r`` moves at rate at most
+``r * N*(lam) * M * c**2`` in the ball's dual gauge, where the ball
+scale ``c`` (:func:`ball_scale`) bounds ``N`` on the ball.
 Consequently the exposed faces seen inside any time window shorter than
-``delta / (N*(lam) * M)`` all contain a common dual-sphere point, hence
-lie in a common closed face.
+``delta / (N*(lam) * M * c**2)`` all contain a common dual-sphere point,
+hence lie in a common closed face.
 
 :func:`verify_face_stability` checks that conclusion exactly, at every
 window position (a window longer than the run is clipped to it), on
@@ -69,7 +71,8 @@ class StabilityCertificate:
     ``violations`` holds one window per minimal run of faces that share
     no closed face yet fit in one window, so the verdict holds exactly
     when there is none.  ``lp_solves`` counts the star-covering LPs
-    behind ``delta``.
+    behind ``delta``, and ``ball_scale`` is the ball's ``c``
+    (:func:`ball_scale`).
     """
 
     kind: str
@@ -77,6 +80,7 @@ class StabilityCertificate:
     delta: float
     lp_solves: int
     m_estimate: MEstimate
+    ball_scale: float
     lam: np.ndarray
     lam_reference_dual: float
     speed: float
@@ -94,6 +98,7 @@ class StabilityCertificate:
             "delta": float(self.delta),
             "lp_solves": int(self.lp_solves),
             "m": self.m_estimate.to_json_dict(),
+            "ball_scale": float(self.ball_scale),
             "covector": [float(x) for x in self.lam],
             "covector_reference_dual": float(self.lam_reference_dual),
             "speed": float(self.speed),
@@ -150,28 +155,47 @@ def adjoint_bracket_bound(spec: groups.GroupSpec, radius: float,
     return MEstimate(radius, bracket, rate)
 
 
+def ball_scale(vertices: np.ndarray) -> float:
+    """The ball scale ``c``: the largest max norm of a ball vertex.
+
+    Embedding through a polarization moves coordinates without changing
+    them, so ``c`` bounds ``N`` on the embedded ball, and a control of
+    speed ``r`` has ``N(u) <= r * c``.
+    """
+    return float(np.max(np.abs(vertices)))
+
+
 def stability_window(delta: float, lam_reference_dual: float,
-                     m_value: float) -> float:
-    """Window length delta / (N*(lam) * M) for ``delta`` and ``M`` at
-    least zero, rounded down; infinite when M vanishes.
+                     m_value: float, scale: float) -> float:
+    """Window length delta / (N*(lam) * M * c**2) for ``delta`` and ``M``
+    at least zero and the ball scale ``c = scale`` positive, rounded
+    down; infinite when M vanishes.
+
+    Along the curve ``xi'(Y) = lam(Ad_g [u, Y])`` with ``u`` in ``r B``
+    and ``Y`` in ``B``, so ``N(u) <= r c`` and ``N(Y) <= c``, and
+    ``xi / r`` moves at most ``N*(lam) M c**2`` in the dual gauge of
+    ``B``, in which ``delta`` is measured.
 
     The quotient is taken exactly, in integers over powers of two
     (every float is one such ratio): int / int rounds correctly to
     nearest, and a result above the exact value is stepped down one
     ulp, so the window never exceeds the exact window of its float
     inputs, and an exact quotient is returned as it is.  A product
-    ``N*(lam) * M`` beyond the float range gives 0.0.
+    ``N*(lam) * M * c**2`` beyond the float range gives 0.0.
     """
     if lam_reference_dual <= 0.0:
         raise ValueError("covector must be nonzero")
+    if not scale > 0.0:
+        raise ValueError("the ball scale must be positive")
     if m_value == 0.0:
         return math.inf
-    product = lam_reference_dual * m_value
+    product = lam_reference_dual * m_value * scale * scale
     if not math.isfinite(product):
         return delta / product
-    (n_d, d_d), (n_l, d_l), (n_m, d_m) = (
-        x.as_integer_ratio() for x in (delta, lam_reference_dual, m_value))
-    num, den = n_d * d_l * d_m, d_d * n_l * n_m
+    (n_d, d_d), (n_l, d_l), (n_m, d_m), (n_c, d_c) = (
+        x.as_integer_ratio()
+        for x in (delta, lam_reference_dual, m_value, scale))
+    num, den = n_d * d_l * d_m * d_c * d_c, d_d * n_l * n_m * n_c * n_c
     out = num / den
     out_num, out_den = out.as_integer_ratio()
     if out_num * den > num * out_den:
@@ -237,9 +261,11 @@ def verify_face_stability(traj: flow.Trajectory, window: float
 
 
 def _certificate(kind: str, traj: flow.Trajectory, radius: float,
-                 lam: np.ndarray, window: float | None = None
-                 ) -> StabilityCertificate:
-    """Covering, ``M(radius)`` and window of the curve's ball and group.
+                 lam: np.ndarray, window: float | None,
+                 image: np.ndarray | None = None) -> StabilityCertificate:
+    """Covering, ``M(radius)`` and window of the curve's ball and group;
+    the ball scale is that of the ball's image under the linear map
+    ``image``, if one is given.
 
     Raises ValueError for a curve with no face history (face ids -1,
     as on smooth-norm and subgroup runs).
@@ -249,13 +275,16 @@ def _certificate(kind: str, traj: flow.Trajectory, radius: float,
     ball = convex.as_polyhedron(traj.norm)
     covering = ball.star_covering()
     m_est = adjoint_bracket_bound(traj.group, radius, ball, traj.polarization)
+    scale = ball_scale(ball.vertices if image is None
+                       else ball.vertices @ image.T)
     lam_dual = float(np.sum(np.abs(traj.lam)))  # N*: the sum norm
     if window is None:
-        window = stability_window(covering.delta, lam_dual, m_est.value)
+        window = stability_window(covering.delta, lam_dual, m_est.value,
+                                  scale)
     return StabilityCertificate(
         kind=kind, window=window, delta=covering.delta,
-        lp_solves=covering.lp_solves, m_estimate=m_est, lam=lam,
-        lam_reference_dual=lam_dual, speed=traj.speed,
+        lp_solves=covering.lp_solves, m_estimate=m_est, ball_scale=scale,
+        lam=lam, lam_reference_dual=lam_dual, speed=traj.speed,
         violations=verify_face_stability(traj, window))
 
 
@@ -264,25 +293,28 @@ def certify_trajectory(traj: flow.Trajectory,
     """Full pipeline: covering bound, adjoint bound, windowed check.
 
     The adjoint bound radius is the curve length, since the curve
-    starts at the identity.  An explicit ``window`` overrides the
-    derived one.
+    starts at the identity, and the ball scale is that of the curve's
+    own ball.  An explicit ``window`` overrides the derived one.
     """
     return _certificate("face-stability", traj,
                         traj.speed * float(traj.times[-1]), traj.lam, window)
 
 
-def finsler_short_bound(delta: float, bracket: float, rate: float) -> float:
-    """The length L with L * M(L) = delta, for M(L) = bracket e^(L rate).
+def finsler_short_bound(delta: float, bracket: float, rate: float,
+                        scale: float) -> float:
+    """The length L with L * M(L) * c**2 = delta, for M(L) = bracket
+    e^(L rate) and the ball scale ``c = scale``.
 
     Curves shorter than L keep their controls inside a single face.
     With ``x = L * rate`` the equation reads ``x e^x = delta * rate /
-    bracket``, solved by the Lambert W function.
+    (bracket c**2)``, solved by the Lambert W function.
     """
     if bracket == 0.0:
         return math.inf
+    weight = bracket * scale * scale
     if rate == 0.0:
-        return delta / bracket
-    return lambert_w(delta * rate / bracket) / rate
+        return delta / weight
+    return lambert_w(delta * rate / weight) / rate
 
 
 def lambert_w(x: float) -> float:
@@ -319,10 +351,11 @@ def abelianized_minimality(sub: groups.SubmetryData, traj: flow.Trajectory,
     two balls correspond one to one, the covering bound ``delta`` is the
     same for both, and the projected controls change face exactly when
     the curve's own controls do.  The window check therefore runs on the
-    curve's own face history: with ``M = M(1)`` the projected controls
-    stay within a common face on every window of length
-    ``delta / (N*(lam) * M)``, which makes the projected curve, and
-    hence the curve itself, minimizing on such windows.  The certificate
+    curve's own face history: with ``M = M(1)`` and the projected ball's
+    scale ``c`` the projected controls stay within a common face on
+    every window of length ``delta / (N*(lam) * M * c**2)``, which makes
+    the projected curve, and hence the curve itself, minimizing on such
+    windows.  The certificate
     reports the projected covector.  An explicit ``window`` overrides
     the derived one, as in :func:`certify_trajectory`.
     """
@@ -335,7 +368,8 @@ def abelianized_minimality(sub: groups.SubmetryData, traj: flow.Trajectory,
         raise ValueError("the differential of the submetry is not "
                          "invertible on the polarization")
     return _certificate("abelianized-minimality", traj, 1.0,
-                        dpi_v @ traj.lam[list(traj.polarization)], window)
+                        dpi_v @ traj.lam[list(traj.polarization)], window,
+                        dpi_v)
 
 
 # ---------------------------------------------------------------------------

@@ -260,8 +260,8 @@ def _cmd_branch(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
             spec, norm, first.lam, np.asarray(direction, dtype=float),
             cfg.t_end, cfg.step, polarization=pol)
     report = flow.detect_branching(first, second)
-    flow.write_trajectory_csv(first, out / f"{cfg.name}_trajectory_a.csv")
-    flow.write_trajectory_csv(second, out / f"{cfg.name}_trajectory_b.csv")
+    flow.write_trajectory_csv(first, out / f"{cfg.name}_trajectory_a.csv",
+                              (second, out / f"{cfg.name}_trajectory_b.csv"))
     payload = report.to_json_dict()
     payload["scenario"] = cfg.name
     # The exact regime events beside the grid-bound coincidence time.
@@ -317,10 +317,10 @@ def _cmd_shortcut(cfg: ScenarioConfig, out: Path, quiet: bool) -> None:
     payload = path.to_json_dict()
     payload["scenario"] = cfg.name
     _write_json(out / f"{cfg.name}_shortcut.json", payload)
-    with open(out / f"{cfg.name}_shortcut.csv", "w", newline="\n") as handle:
-        handle.write("t,x1,x2,x3\n")
-        for t, g in zip(path.times.tolist(), path.points.tolist()):
-            handle.write(f"{t!r},{g[0][1]!r},{g[1][2]!r},{g[0][2]!r}\n")
+    table = np.column_stack([path.times, path.points[:, 0, 1],
+                             path.points[:, 1, 2], path.points[:, 0, 2]])
+    flow.write_csv(out / f"{cfg.name}_shortcut.csv", ["t", "x1", "x2", "x3"],
+                   flow.format_floats(table)[0])
     # The endpoint's central entry is about eps, so the gap is relative.
     if path.endpoint_gap > 1e-9 * cfg.eps:
         raise flow.FlowError("shortcut endpoint missed the target")

@@ -699,26 +699,52 @@ def check_constant_speed(traj: Trajectory) -> dict:
 # Serialization
 
 
-def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write the trajectory grid as CSV.
+def format_floats(*tables: np.ndarray) -> list[np.ndarray]:
+    """Each float table as an object array of shortest round-trip reprs.
+
+    This is the one formatter of every CSV float.  A ``repr`` costs far
+    more than a sort, and the tables repeat many floats (constant chart
+    entries, held controls, the time column, both curves of a branch
+    pair), so each distinct bit pattern across all ``tables`` is
+    formatted once.  Keys are bits, not values: ``-0.0 == 0.0``.
+    """
+    bits = np.concatenate([np.ravel(t) for t in tables]).view(np.int64)
+    keys, inverse = np.unique(bits, return_inverse=True)
+    text = np.array(list(map(repr, keys.view(np.float64).tolist())),
+                    dtype=object)[inverse]
+    bounds = np.cumsum([np.size(t) for t in tables])[:-1]
+    return [cells.reshape(np.shape(t))
+            for cells, t in zip(np.split(text, bounds), tables)]
+
+
+def write_csv(path, header: list[str], cells: np.ndarray) -> None:
+    """Write a header and a 2-D array of cell strings as CSV."""
+    lines = [",".join(header), *map(",".join, cells.tolist())]
+    with open(path, "w", newline="\n") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def write_trajectory_csv(traj: Trajectory, path, *more) -> None:
+    """Write the trajectory grid as CSV; ``more`` holds further
+    ``(trajectory, path)`` pairs, written in the same call.
 
     Columns: t, chart entries row-major, control coords, dual coords,
     face id.  Floats are written in shortest round-trip form, so equal
-    runs produce identical bytes.
+    runs produce identical bytes; all the files share one
+    :func:`format_floats` pass.
     """
-    size = traj.group.matrix_size
-    header = ["t"]
-    header += [f"g{i}{j}" for i in range(size) for j in range(size)]
-    header += [f"u{k}" for k in range(len(traj.polarization))]
-    header += [f"xi{k}" for k in range(len(traj.polarization))]
-    header += ["face_id"]
-    floats = np.column_stack([traj.times,
-                              traj.points.reshape(len(traj.times), -1),
-                              traj.controls, traj.duals]).tolist()
-    with open(path, "w", newline="\n") as handle:
-        handle.write(",".join(header) + "\n")
-        for row, fid in zip(floats, traj.face_ids.tolist()):
-            handle.write(",".join(map(repr, row)) + f",{fid}\n")
+    pairs = [(traj, path), *more]
+    tables = [np.column_stack([t.times, t.points.reshape(len(t.times), -1),
+                               t.controls, t.duals]) for t, _ in pairs]
+    for (t, out), cells in zip(pairs, format_floats(*tables)):
+        size = t.group.matrix_size
+        header = ["t"]
+        header += [f"g{i}{j}" for i in range(size) for j in range(size)]
+        header += [f"u{k}" for k in range(len(t.polarization))]
+        header += [f"xi{k}" for k in range(len(t.polarization))]
+        header += ["face_id"]
+        face_ids = np.array(list(map(str, t.face_ids.tolist())), dtype=object)
+        write_csv(out, header, np.column_stack([cells, face_ids]))
 
 
 def read_trajectory_csv(path) -> dict[str, np.ndarray]:

@@ -10,7 +10,8 @@ bracket bound is sampled over group points reached through the curve's
 own ball.  The sum and
 max norm subdifferentials have closed forms, spelled out coordinate by
 coordinate.  The maximal disjoint pairs of dual faces come from a scan
-over all pairs of pairs, and dual points from explicit conjugation.
+over all pairs of pairs, and dual points from explicit conjugation,
+which also give the dual point's sampled rate in a ball's dual gauge.
 scipy's HiGHS solves the face distance LP, and its pivoted QR gives
 the derived algebra's basis for the adjoint bracket bound.
 The speed law is checked node by node, one gauge call per node.
@@ -334,6 +335,20 @@ def dual_point_by_conjugation(basis: np.ndarray, lam: np.ndarray,
     eye = np.eye(len(basis))
     return np.array([lam @ adjoint_by_conjugation(basis, g, eye[j])
                      for j in polarization])
+
+
+def dual_gauge_rates(basis: np.ndarray, lam: np.ndarray, points,
+                     vertices: np.ndarray, polarization, step: float
+                     ) -> np.ndarray:
+    """The dual point's node-to-node rates along ``points``, measured in
+    the dual gauge of the ball with ``vertices``.  Dual points come from
+    explicit conjugation.  A difference quotient is a derivative at some
+    time between its nodes, so no rate exceeds the supremum of the
+    derivative's gauge over that step."""
+    xi = np.array([dual_point_by_conjugation(basis, lam, g, polarization)
+                   for g in points])
+    moves = np.abs(np.diff(xi, axis=0) @ np.asarray(vertices).T)
+    return np.max(moves, axis=1) / step
 
 
 def speed_deviations_by_node(traj) -> tuple[float, float]:

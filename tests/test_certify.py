@@ -12,6 +12,7 @@ from scipy.special import lambertw
 from oracles import (
     adjoint_bracket_max,
     cube_bracket_coordinates,
+    dual_gauge_rates,
     face_lattice_bruteforce,
     faces_share_a_closed_face,
     qr_bracket_and_rate,
@@ -27,6 +28,7 @@ from subfinsler import (
     abelianized_minimality,
     adjoint_bracket_bound,
     affine_line_group,
+    ball_scale,
     certify_trajectory,
     finsler_short_bound,
     group_by_name,
@@ -170,43 +172,53 @@ def test_svd_derived_basis_gives_the_qr_estimate(group, ball_kind):
 
 
 def test_stability_window_algebra():
-    assert stability_window(2.0, 1.0, 2.0) == 1.0
-    assert stability_window(2.0, 0.5, 2.0) == 2.0
-    assert math.isinf(stability_window(2.0, 1.0, 0.0))
+    assert stability_window(2.0, 1.0, 2.0, 1.0) == 1.0
+    assert stability_window(2.0, 0.5, 2.0, 1.0) == 2.0
+    # The ball scale enters squared: c = 2 quarters the window, c = 1/2
+    # quadruples it.
+    assert stability_window(2.0, 1.0, 2.0, 2.0) == 0.25
+    assert stability_window(2.0, 1.0, 2.0, 0.5) == 4.0
+    assert math.isinf(stability_window(2.0, 1.0, 0.0, 3.0))
     with pytest.raises(ValueError):
-        stability_window(2.0, 0.0, 1.0)
+        stability_window(2.0, 0.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        stability_window(2.0, 1.0, 1.0, 0.0)
 
 
 def test_stability_window_rounds_down():
     # 1 / 5 rounds up to nearest; the window is the float just below
     # the exact quotient of its float inputs, never above it.
     assert 1.0 / (5.0 * 1.0) > Fraction(1, 5)
-    assert stability_window(1.0, 5.0, 1.0) == math.nextafter(0.2, 0.0)
+    assert stability_window(1.0, 5.0, 1.0, 1.0) == math.nextafter(0.2, 0.0)
     rng = np.random.default_rng(7)
-    for delta, lam_dual, m in rng.uniform(0.1, 10.0, (300, 3)).tolist():
-        window = stability_window(delta, lam_dual, m)
-        exact = Fraction(delta) / (Fraction(lam_dual) * Fraction(m))
+    for delta, lam_dual, m, c in rng.uniform(0.1, 10.0, (300, 4)).tolist():
+        window = stability_window(delta, lam_dual, m, c)
+        exact = Fraction(delta) / (Fraction(lam_dual) * Fraction(m)
+                                   * Fraction(c) ** 2)
         assert Fraction(window) <= exact < Fraction(
             math.nextafter(window, math.inf))
 
 
 def test_finsler_short_bound_constant_m():
-    # With M constant, L * M = delta gives L = delta / M exactly.
-    assert finsler_short_bound(2.0, 2.0, 0.0) == 1.0
+    # With M constant, L * M * c**2 = delta gives L = delta / (M c**2)
+    # exactly.
+    assert finsler_short_bound(2.0, 2.0, 0.0, 1.0) == 1.0
+    assert finsler_short_bound(2.0, 2.0, 0.0, 2.0) == 0.25
     # With no bracket M vanishes and every length qualifies.
-    assert finsler_short_bound(2.0, 0.0, 0.0) == math.inf
-    assert finsler_short_bound(2.0, 0.0, 3.0) == math.inf
+    assert finsler_short_bound(2.0, 0.0, 0.0, 1.0) == math.inf
+    assert finsler_short_bound(2.0, 0.0, 3.0, 1.0) == math.inf
 
 
 def test_finsler_short_bound_solves_the_growth_equation():
-    for delta, bracket, rate in product((0.1, 2.0, 7.5),
-                                        (0.5, 2.0, 2.0 * math.sqrt(2.0)),
-                                        (1e-6, 0.3, 3.0, 40.0)):
-        length = finsler_short_bound(delta, bracket, rate)
+    for delta, bracket, rate, c in product((0.1, 2.0, 7.5),
+                                           (0.5, 2.0, 2.0 * math.sqrt(2.0)),
+                                           (1e-6, 0.3, 3.0, 40.0),
+                                           (0.4, 1.0, 2.55)):
+        length = finsler_short_bound(delta, bracket, rate, c)
         m = MEstimate(length, bracket, rate).value
         assert length > 0.0
-        assert abs(length * m - delta) <= 1e-12 * delta, (delta, bracket,
-                                                          rate)
+        assert abs(length * m * c * c - delta) <= 1e-12 * delta, (
+            delta, bracket, rate, c)
 
 
 def test_lambert_w_matches_scipy_to_a_few_ulps():
@@ -397,6 +409,106 @@ def test_abelianized_certificate_on_a_flattened_polygon():
     assert cert.speed == pytest.approx(0.5, abs=1e-12)
 
 
+def _scaled_square(c: float) -> Polyhedron:
+    corners = c * np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0],
+                            [1.0, -1.0]])
+    return Polyhedron(corners, np.array([[1.0, 0.0], [0.0, 1.0],
+                                         [-1.0, 0.0], [0.0, -1.0]]) / c)
+
+
+@pytest.mark.parametrize("c", [3.0, 10.0])
+@pytest.mark.parametrize("kind", ["face-stability", "abelianized-minimality"])
+def test_window_scales_with_the_ball(c, kind):
+    # The square c [-1, 1]^2 has the delta and M of the unit square, but
+    # its controls and test directions are c times longer, so the dual
+    # point moves c**2 times faster in the ball's dual gauge.
+    sub = heisenberg_abelianization()
+    traj = integrate_polyhedral(sub.source, PolyhedralNorm(_scaled_square(c)),
+                                [0.3, 0.2, 1.0], 2.0, 1e-3,
+                                polarization=(0, 1))
+    cert = (certify_trajectory(traj) if kind == "face-stability"
+            else abelianized_minimality(sub, traj))
+    assert cert.kind == kind
+    assert cert.ball_scale == c
+    assert cert.to_json_dict()["ball_scale"] == c
+    assert cert.verdict, cert.violations
+    unscaled = stability_window(cert.delta, cert.lam_reference_dual,
+                                cert.m_estimate.value, 1.0)
+    assert cert.window == stability_window(
+        cert.delta, cert.lam_reference_dual, cert.m_estimate.value, c)
+    # The window without c**2 meets incompatible faces.
+    assert verify_face_stability(traj, unscaled)
+
+
+def test_window_of_a_random_ball_wider_than_unit():
+    # A skewed 3-D ball with c = 2.55 and a covector mostly along the
+    # center; without c**2 its window (1.103) meets incompatible faces.
+    half = np.array([
+        [-2.552293127925773, -0.7174076287663835, 0.04788597986230259],
+        [-0.08883433363660434, 1.4238389367462856, -1.2380834570843666],
+        [1.4346366944045355, -0.9866796377642469, 1.1900084323808504],
+        [-1.708423285804966, -1.0241372712444663, 1.5304396025087337]])
+    functionals = np.array([
+        [0.25075949412076665, -2.4190036064913314, -1.9922304603147933],
+        [0.17861856475558097, 0.7621826598830105, 0.05602036476799994],
+        [-0.14719685051819262, -0.968052801614167, -1.4655223754086875],
+        [-0.07037949951766412, 0.1469852870952966, -0.6336119788006344],
+        [-0.1786185647555809, -0.7621826598830104, -0.056020364767999896],
+        [-0.25075949412076665, 2.4190036064913314, 1.9922304603147933],
+        [-0.5920080566026181, 0.7450374762034949, 0.4911139892994013],
+        [-0.5230281319614006, 1.746311828019362, 1.2381472535143327],
+        [0.14719685051819262, 0.968052801614167, 1.4655223754086875],
+        [0.07037949951766412, -0.1469852870952966, 0.6336119788006344],
+        [0.5920080566026181, -0.7450374762034954, -0.49111398929940175],
+        [0.5230281319614005, -1.7463118280193604, -1.2381472535143319]])
+    ball = Polyhedron(np.vstack([half, -half]), functionals)
+    traj = integrate_polyhedral(
+        heisenberg_group(), PolyhedralNorm(ball),
+        [-0.019738371155615053, -0.06617356857159229, 0.30332843121151454],
+        2.0, 1e-2)
+    cert = certify_trajectory(traj)
+    assert cert.ball_scale == 2.552293127925773
+    assert cert.verdict, cert.violations
+    unscaled = stability_window(cert.delta, cert.lam_reference_dual,
+                                cert.m_estimate.value, 1.0)
+    assert 1.1 < unscaled and cert.window < 0.17
+    assert verify_face_stability(traj, unscaled)
+
+
+@pytest.mark.parametrize("group", sorted(GROUPS))
+def test_dual_point_rate_is_within_the_scaled_bound(group):
+    # xi / r moves at most N*(lam) M(r t) c**2 in the ball's dual gauge,
+    # on random balls with c in [0.5, 3]; M grows with the radius, so the
+    # step ending at t is bounded with M(r t).  Without c**2 the bound
+    # fails on every non-abelian group.
+    rng = np.random.default_rng(11)
+    spec = group_by_name(group)
+    pol = spec.polarization
+    worst_scaled = worst_unscaled = 0.0
+    for c in (0.5, 1.0, 2.0, 3.0):
+        half = rng.standard_normal((4, len(pol)))
+        ball = Polyhedron.from_vertices(
+            np.vstack([half, -half]) * (c / np.max(np.abs(half))))
+        assert ball_scale(ball.vertices) == pytest.approx(c, rel=1e-15)
+        lam = rng.uniform(-1.0, 1.0, spec.dim)
+        traj = integrate_polyhedral(spec, PolyhedralNorm(ball), lam, 1.0,
+                                    1e-3)
+        rates = dual_gauge_rates(spec.basis, lam, traj.points,
+                                 ball.vertices, pol, 1e-3) / traj.speed
+        est = adjoint_bracket_bound(spec, 0.0, ball, pol)
+        unscaled = np.sum(np.abs(lam)) * est.bracket * np.exp(
+            traj.speed * traj.times[1:] * est.rate)
+        assert np.all(rates <= unscaled * c * c * (1.0 + 1e-9) + 1e-12), c
+        if est.bracket > 0.0:
+            ratio = np.max(rates / unscaled)
+            worst_scaled = max(worst_scaled, ratio / (c * c))
+            worst_unscaled = max(worst_unscaled, ratio)
+    if group.startswith("translation"):
+        assert worst_unscaled == 0.0
+    else:
+        assert worst_scaled <= 1.0 < worst_unscaled
+
+
 def test_abelianized_rejects_a_non_invertible_differential():
     # On the full polarization dpi is 2 x 3, so the projected faces do
     # not correspond to the curve's own faces.
@@ -490,7 +602,7 @@ def test_certificate_json_schema():
                                 1.0, 1e-2)
     payload = certify_trajectory(traj).to_json_dict()
     assert set(payload) == {"kind", "verdict", "window", "delta",
-                            "lp_solves", "m",
+                            "lp_solves", "m", "ball_scale",
                             "covector", "covector_reference_dual", "speed",
                             "violations"}
     assert set(payload["m"]) == {"value", "radius", "method", "bracket",

@@ -187,6 +187,19 @@ def test_shortcut_csv_reads_back_bitwise(tmp_path):
         assert data[name].tobytes() == want.tobytes()
 
 
+def test_shortcut_csv_matches_per_row_repr(tmp_path):
+    # The shortcut CSV goes through the trajectory writer's formatter;
+    # its bytes are those of one repr per cell.
+    assert run("shortcut", "--config", "heisenberg_shortcut",
+               "--out", tmp_path, "--quiet") == 0
+    path = certify.vertical_shortcut(load_scenario("heisenberg_shortcut").eps)
+    want = "t,x1,x2,x3\n"
+    for t, g in zip(path.times.tolist(), path.points.tolist()):
+        want += f"{t!r},{g[0][1]!r},{g[1][2]!r},{g[0][2]!r}\n"
+    assert (tmp_path / "heisenberg_shortcut_shortcut.csv").read_bytes() == (
+        want.encode())
+
+
 @pytest.mark.parametrize("eps", [1e-12, 1e12])
 def test_shortcut_far_from_unit_eps_exits_0(tmp_path, eps):
     src = tmp_path / "far.json"

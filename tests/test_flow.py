@@ -1,7 +1,10 @@
 """Normal-flow integrators, branch detection, serialization."""
 
+import dataclasses
+import json
 import math
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +37,7 @@ from subfinsler import (
     translation_group,
     write_trajectory_csv,
 )
-from subfinsler import flow, groups
+from subfinsler import cli, flow, groups
 from subfinsler.cli import load_scenario
 from subfinsler.groups import exp as group_exp
 from subfinsler.polyhedra import Polyhedron, linf_ball, regular_polygon_ball
@@ -922,22 +925,119 @@ def test_speed_check_calls_each_gauge_once(monkeypatch, norm):
 # -- CSV round trip ------------------------------------------------------------
 
 
+def _assert_reads_back(path, traj):
+    data = read_trajectory_csv(path)
+    assert np.array_equal(data["t"], traj.times)
+    n, size = len(traj.times), traj.group.matrix_size
+    chart = np.column_stack([data[f"g{i}{j}"] for i in range(size)
+                             for j in range(size)]).reshape(n, size, size)
+    assert np.array_equal(chart, traj.points)
+    dim = len(traj.polarization)
+    controls = np.column_stack([data[f"u{k}"] for k in range(dim)])
+    assert np.array_equal(controls, traj.controls)
+    duals = np.column_stack([data[f"xi{k}"] for k in range(dim)])
+    assert np.array_equal(duals, traj.duals)
+    assert np.array_equal(data["face_id"].astype(int), traj.face_ids)
+
+
 def test_trajectory_csv_round_trip(tmp_path):
     heis = heisenberg_group()
     traj = integrate_polyhedral(heis, MaxNorm(3), [0.3, 0.5, 0.8], 1.0, 1e-2)
     path = tmp_path / "run.csv"
     write_trajectory_csv(traj, path)
-    data = read_trajectory_csv(path)
-    assert np.array_equal(data["t"], traj.times)
+    _assert_reads_back(path, traj)
+    # A pair written in one call reads back as two separate runs.
+    other = integrate_smooth(affine_line_group(), CornerNorm(), [0.5, 1.0],
+                             1.5, 1e-2)
+    write_trajectory_csv(traj, tmp_path / "a.csv", (other, tmp_path / "b.csv"))
+    _assert_reads_back(tmp_path / "a.csv", traj)
+    _assert_reads_back(tmp_path / "b.csv", other)
+    assert (tmp_path / "a.csv").read_bytes() == path.read_bytes()
+
+
+def _reference_csv(traj) -> str:
+    """The trajectory CSV formatted one cell at a time, as the writer did
+    before it shared the formatting of repeated floats."""
+    size = traj.group.matrix_size
+    dim = len(traj.polarization)
+    header = (["t"] + [f"g{i}{j}" for i in range(size) for j in range(size)]
+              + [f"u{k}" for k in range(dim)] + [f"xi{k}" for k in range(dim)]
+              + ["face_id"])
+    floats = np.column_stack([traj.times, traj.points.reshape(len(traj.times),
+                                                              -1),
+                              traj.controls, traj.duals]).tolist()
+    text = ",".join(header) + "\n"
+    for row, fid in zip(floats, traj.face_ids.tolist()):
+        text += ",".join(map(repr, row)) + f",{fid}\n"
+    return text
+
+
+def test_format_floats_keys_on_bits():
+    cells = flow.format_floats(np.array([[0.0, -0.0, 5e-324, -5e-324],
+                                         [1e16, 1e-05, 0.1, -0.0]]),
+                               np.array([0.0, 1e16]))
+    assert cells[0].tolist() == [["0.0", "-0.0", "5e-324", "-5e-324"],
+                                 ["1e+16", "1e-05", "0.1", "-0.0"]]
+    assert cells[1].tolist() == ["0.0", "1e+16"]
+
+
+def test_csv_matches_per_cell_repr_on_signed_zeros_and_extremes(tmp_path):
+    traj = integrate_polyhedral(heisenberg_group(), MaxNorm(3),
+                                [0.3, 0.5, 0.8], 1.0, 1e-2)
     n = len(traj.times)
-    chart = np.column_stack([data[f"g{i}{j}"] for i in range(3)
-                             for j in range(3)]).reshape(n, 3, 3)
-    assert np.array_equal(chart, traj.points)
-    controls = np.column_stack([data[f"u{k}"] for k in range(3)])
-    assert np.array_equal(controls, traj.controls)
-    duals = np.column_stack([data[f"xi{k}"] for k in range(3)])
-    assert np.array_equal(duals, traj.duals)
-    assert np.array_equal(data["face_id"].astype(int), traj.face_ids)
+    cycle = np.resize([0.0, -0.0, 5e-324, 1e16, 1e-05, -5e-324], n)
+    controls, duals = traj.controls.copy(), traj.duals.copy()
+    # Both zeros in one column, and the other zero in the next one.
+    controls[:, 0] = cycle
+    duals[:, 1] = np.where(cycle == 0.0, np.copysign(0.0, -cycle), cycle)
+    odd = dataclasses.replace(traj, controls=controls, duals=duals)
+    write_trajectory_csv(odd, tmp_path / "odd.csv")
+    assert (tmp_path / "odd.csv").read_bytes() == _reference_csv(odd).encode()
+
+
+def test_csv_pair_of_different_groups_matches_per_cell_repr(tmp_path):
+    first = integrate_polyhedral(heisenberg_group(), MaxNorm(3),
+                                 [0.3, 0.5, 0.8], 1.0, 1e-2)
+    second = integrate_smooth(affine_line_group(), CornerNorm(), [0.5, 1.0],
+                              2.2, 1e-3)
+    assert len(first.times) != len(second.times)
+    write_trajectory_csv(first, tmp_path / "a.csv",
+                         (second, tmp_path / "b.csv"))
+    assert (tmp_path / "a.csv").read_bytes() == _reference_csv(first).encode()
+    assert (tmp_path / "b.csv").read_bytes() == _reference_csv(second).encode()
+
+
+BRANCH_SCENARIOS = sorted(
+    path.name[:-len(".json")]
+    for path in (resources.files("subfinsler") / "scenarios").iterdir()
+    if {"covector_b", "reference_direction"} & set(json.loads(
+        path.read_text())))
+
+
+def test_every_bundled_branch_scenario_is_found():
+    assert BRANCH_SCENARIOS == ["affine_corner_half", "affine_corner_pair",
+                                "heisenberg_rootsum_pair",
+                                "rotation_axis_pair"]
+
+
+@pytest.mark.parametrize("name", BRANCH_SCENARIOS)
+def test_branch_csvs_match_per_cell_repr(name, tmp_path, monkeypatch):
+    calls = []
+    write = flow.write_trajectory_csv
+
+    def recorded(traj, path, *more):
+        calls.append([(traj, path), *more])
+        write(traj, path, *more)
+
+    monkeypatch.setattr(flow, "write_trajectory_csv", recorded)
+    assert cli.main(["branch", "--config", name, "--out", str(tmp_path),
+                     "--quiet"]) == 0
+    # One call formats both curves.
+    [pairs] = calls
+    assert [Path(p).name for _, p in pairs] == [
+        f"{name}_trajectory_a.csv", f"{name}_trajectory_b.csv"]
+    for traj, path in pairs:
+        assert Path(path).read_bytes() == _reference_csv(traj).encode()
 
 
 def test_subgroup_trajectory_nodes_exact():
