@@ -17,6 +17,7 @@ same scenario and seed produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -359,7 +360,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the command line, built once per process."""
     parser = argparse.ArgumentParser(
         prog="subfinsler",
         description="Normal curves and face stability on sub-Finsler "
@@ -386,8 +389,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_scenario(args.config)
         overrides = {key: getattr(args, key) for key in ("seed", "step")
                      if getattr(args, key) is not None}
-        # replace() runs the value checks again on the overrides.
-        cfg = replace(cfg, **overrides)
+        if overrides:
+            # replace() runs the value checks again on the overrides.
+            cfg = replace(cfg, **overrides)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
     except (ScenarioError, OSError) as exc:

@@ -205,6 +205,15 @@ def arc_terms(spec: groups.GroupSpec, lam: np.ndarray, g: np.ndarray,
     ``g``.  Raises FlowError if ``A^3 = q A`` fails beyond
     ``groups.CLOSURE_TOL``, relative to ``A^3``.
     """
+    p = groups.adjoint_matrix(spec, g).T @ np.asarray(lam, dtype=float)
+    return _arc_terms_of(spec, p, u_v, polarization)
+
+
+def _arc_terms_of(spec: groups.GroupSpec, p: np.ndarray, u_v: np.ndarray,
+                  polarization: tuple[int, ...] | None
+                  ) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`arc_terms` from ``p = lam o Ad_g``, so one chart point's
+    ``p`` serves every control tried there."""
     pol = list(spec.polarization if polarization is None else polarization)
     a = groups.ad_matrix(spec, _embed(u_v, spec.dim, pol)).T
     a2 = a @ a
@@ -215,7 +224,7 @@ def arc_terms(spec: groups.GroupSpec, lam: np.ndarray, g: np.ndarray,
         if abs(a3 - q * a).max() > groups.CLOSURE_TOL * abs(a3).max():
             raise FlowError(f"{spec.name} arcs have no closed-form dual "
                             f"point")
-    ap = a @ (groups.adjoint_matrix(spec, g).T @ np.asarray(lam, dtype=float))
+    ap = a @ p
     return ap[pol], (a @ ap)[pol], q
 
 
@@ -260,9 +269,15 @@ def _first_rise(k0: np.ndarray, k1: np.ndarray, k2: np.ndarray,
     simple one (a touch is no crossing).  The root is taken in the form
     that does not cancel; for a line (``q = 0 = k2``) that is the ratio
     ``-k0 / k1``, taken as such.  For ``q < 0`` the form is periodic,
-    and the root is mapped into the first period.  A constant form
-    crosses nowhere (for ``q > 0`` its rising root is ``tau = 2/r``,
-    which is ``s = inf``, and would round to a finite one).
+    and the root is mapped into the first period.
+
+    For ``q > 0`` a form whose ``e^{rs}`` term cancels (``k1 r + k2 =
+    0``; every constant form) has ``g(2/r) = 0``.  That root is ``s =
+    inf``, and would round to a finite one, so it is deflated: ``g =
+    (tau - 2/r)(curv tau - k0 r/2)``, and as ``tau < 2/r`` the form
+    crosses upward where that line crosses downward, at ``tau = k0 r /
+    (2 curv)`` with ``curv < 0``.  For ``q <= 0`` a constant form has
+    ``disc <= 0`` and no root.
     """
     if q == 0.0 and not k2.any():
         # A line: the rising root is the ratio alone.
@@ -272,13 +287,17 @@ def _first_rise(k0: np.ndarray, k1: np.ndarray, k2: np.ndarray,
     disc = k1 * k1 - 4.0 * curv * k0
     if not np.isfinite(disc).all():
         return math.nan
-    cross = (disc > 0.0) & ((k1 != 0.0) | (k2 != 0.0))
+    r = math.sqrt(abs(q))
+    flat = (k1 * r + k2 == 0.0) & (q > 0.0)
+    # The deflated line's root, tau = k0 r / (2 curv), where it falls.
+    line_num, line_den = -r * k0[flat], -2.0 * curv[flat]
+    cross = (disc > 0.0) & ~flat
     k0, k1, curv = k0[cross], k1[cross], curv[cross]
     root = np.sqrt(disc[cross])
     # tau = (root - k1) / (2 curv) = -2 k0 / (k1 + root).
     rising = k1 >= 0.0
-    num = np.where(rising, -2.0 * k0, root - k1)
-    den = np.where(rising, k1 + root, 2.0 * curv)
+    num = np.append(np.where(rising, -2.0 * k0, root - k1), line_num)
+    den = np.append(np.where(rising, k1 + root, 2.0 * curv), line_den)
     if q < 0.0:
         w = math.sqrt(-q)
         s = np.mod(np.arctan2(w * num, 2.0 * den), math.pi) * (2.0 / w)
@@ -286,7 +305,6 @@ def _first_rise(k0: np.ndarray, k1: np.ndarray, k2: np.ndarray,
         ahead = (num >= 0.0) & (den > 0.0)
         s = num[ahead] / den[ahead]
         if q > 0.0:
-            r = math.sqrt(q)
             x = 0.5 * r * s
             s = 2.0 * np.arctanh(x[x < 1.0]) / r
     return float(np.min(s, initial=math.inf))
@@ -305,9 +323,10 @@ def _held_arc(spec: groups.GroupSpec, lam: np.ndarray,
     The arc exits where the first of the switching ``forms``, the rows
     ``(k0, k1, k2)`` of :func:`arc_terms`' kernels, crosses zero upward
     (:func:`_first_rise`), so a form that starts on a tie holds until it
-    has been negative.  That exit is read off the arc's start alone: the
-    nodes at or before it are one stacked :func:`arc`, and the exit is
-    one more, so nothing depends on the grid but which nodes are filled.
+    has been negative.  That exit is read off the arc's start alone, and
+    the nodes at or before it and the exit itself are one stacked
+    :func:`arc`, so nothing depends on the grid but which nodes are
+    filled.
 
     Returns the exit as its offset from ``t0`` with the chart and dual
     points there (None if it is after the grid's last time), and the
@@ -320,20 +339,22 @@ def _held_arc(spec: groups.GroupSpec, lam: np.ndarray,
         raise IntegrationError("switching value is not finite", t0)
     s = times[k:] - t0
     keep = int(np.searchsorted(s, root, side="right"))
-    if keep:
-        pts, xis = arc(spec, lam, u_v, s[:keep], polarization, g)
-        bad = ~np.isfinite(xis).all(axis=-1)
-        if bad.any():
-            raise IntegrationError("dual point is not finite",
-                                   times[k + np.argmax(bad)])
-        points[k:k + keep], duals[k:k + keep] = pts, xis
-        controls[k:k + keep] = u_v
-    if t0 + root > times[-1]:
+    # The nodes to fill, then the exit if it is within the grid.
+    offsets, at = s[:keep], times[k:k + keep]
+    if t0 + root <= times[-1]:
+        offsets, at = np.append(offsets, root), np.append(at, t0 + root)
+    if not at.size:
+        return None, k
+    pts, xis = arc(spec, lam, u_v, offsets, polarization, g)
+    bad = ~np.isfinite(xis).all(axis=-1)
+    if bad.any():
+        raise IntegrationError("dual point is not finite",
+                               at[np.argmax(bad)])
+    points[k:k + keep], duals[k:k + keep] = pts[:keep], xis[:keep]
+    controls[k:k + keep] = u_v
+    if len(at) == keep:
         return None, k + keep
-    pt, xi = arc(spec, lam, u_v, root, polarization, g)
-    if not np.isfinite(xi).all():
-        raise IntegrationError("dual point is not finite", t0 + root)
-    return (root, pt, xi), k + keep
+    return (root, pts[keep], xis[keep]), k + keep
 
 
 def whole_steps(t_end: float, step: float, size: int = 1) -> int:
@@ -534,8 +555,9 @@ def integrate_polyhedral(spec: groups.GroupSpec, norm: convex.Norm,
         under that control.
         """
         tried: set[int] = set()
+        p = groups.adjoint_matrix(spec, g).T @ lam
         while True:
-            velocity, curve, q = arc_terms(spec, lam, g, u, pol)
+            velocity, curve, q = _arc_terms_of(spec, p, u, pol)
             rates = poly.vertices @ velocity
             if not np.isfinite(rates).all():
                 raise IntegrationError("dual point velocity overflows", t)

@@ -21,6 +21,7 @@ computed here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -159,9 +160,11 @@ def matrix_group(name: str, basis: np.ndarray,
     """Build a GroupSpec from a matrix basis and its closed forms.
 
     Structure constants are extracted from matrix brackets; the basis
-    must close under brackets and satisfy the Jacobi identity.
+    must close under brackets and satisfy the Jacobi identity.  The spec
+    holds a copy of ``basis``, and its ``basis``, ``structure`` and
+    ``_flat_pinv`` are read-only, so one spec can be shared.
     """
-    basis = np.asarray(basis, dtype=float)
+    basis = np.array(basis, dtype=float)
     dim = basis.shape[0]
     if polarization is None:
         polarization = tuple(range(dim))
@@ -179,13 +182,19 @@ def matrix_group(name: str, basis: np.ndarray,
     jac = _jacobi_residual(structure)
     if jac > JACOBI_TOL:
         raise GroupChartError(f"Jacobi identity violated by {jac:.3e}")
+    for array in (basis, structure, spec._flat_pinv):
+        array.setflags(write=False)
     return replace(spec, structure=structure)
 
 
 # ---------------------------------------------------------------------------
 # Registry
+#
+# Each constructor builds its spec once per process and returns that
+# shared, read-only spec on every later call.
 
 
+@functools.cache
 def translation_group(dim: int) -> GroupSpec:
     """Abelian group of translations of dim-space, in an affine chart."""
     n = int(dim)
@@ -215,6 +224,7 @@ def translation_group(dim: int) -> GroupSpec:
                         ad_pullback=ad_pullback, variety=variety)
 
 
+@functools.cache
 def heisenberg_group() -> GroupSpec:
     """3x3 unipotent upper triangular group.
 
@@ -253,6 +263,7 @@ def heisenberg_group() -> GroupSpec:
                         ad_pullback=ad_pullback, variety=variety)
 
 
+@functools.cache
 def affine_line_group() -> GroupSpec:
     """Orientation-preserving affine maps of the line.
 
@@ -288,6 +299,7 @@ def affine_line_group() -> GroupSpec:
                         ad_pullback=ad_pullback, variety=variety)
 
 
+@functools.cache
 def rotation_group() -> GroupSpec:
     """Rotations of 3-space with a skew basis adapted to the first axis.
 

@@ -136,8 +136,11 @@ class Polyhedron:
         self.dim = self.vertices.shape[1]
         self._faces: list[Face] | None = None
         self._face_by_set: dict[frozenset[int], Face] | None = None
-        # Vertex ids on each facet, indexed like ``functionals``.
-        self._facet_sets = self._validate()
+        # Facet/vertex incidence, and the vertex ids on each facet, both
+        # indexed like ``functionals``.
+        self._incidence = self._validate()
+        self._facet_sets = [frozenset(np.flatnonzero(row))
+                            for row in self._incidence]
 
     # -- construction ------------------------------------------------
 
@@ -158,9 +161,10 @@ class Polyhedron:
         ext_dual, fns_dual = _extreme_and_facets(covectors)
         return cls(fns_dual, ext_dual)
 
-    def _validate(self) -> list[frozenset[int]]:
-        """Check the data and return the vertex ids on each facet.  Every
-        functional must be a facet, so ``facets`` is the polar lattice."""
+    def _validate(self) -> np.ndarray:
+        """Check the data and return the facet/vertex incidence matrix.
+        Every functional must be a facet, so ``facets`` is the polar
+        lattice."""
         if self.functionals.shape[1] != self.dim:
             raise PolyhedronError("vertex/functional dimension mismatch")
         for name, rows in (("vertex", self.vertices),
@@ -185,7 +189,7 @@ class Polyhedron:
             np.where(incidence[:, :, None], self.vertices, 0.0), tol=1e-9)
         if np.any(ranks < self.dim):
             raise PolyhedronError("some functional supports no facet")
-        return [frozenset(np.nonzero(row)[0]) for row in incidence]
+        return incidence
 
     # -- gauge and dual gauge ----------------------------------------
 
@@ -227,16 +231,22 @@ class Polyhedron:
                 if inter and inter not in seen:
                     seen.add(inter)
                     queue.append(inter)
-        faces = []
-        for vset in seen:
-            ids = tuple(sorted(int(i) for i in vset))
-            pts = self.vertices[list(ids)]
-            fdim = 0
-            if len(ids) > 1:
-                fdim = int(np.linalg.matrix_rank(pts[1:] - pts[0], tol=1e-9))
-            facets = tuple(k for k, fs in enumerate(facet_sets) if vset <= fs)
-            faces.append((fdim, ids, facets))
-        faces.sort(key=lambda item: (item[0], item[1]))
+        # One row per face: its vertex mask, and its edges from its first
+        # vertex with the other rows zeroed, so one stacked SVD gives
+        # every face's dimension, and one boolean product its facets:
+        # those that miss none of its vertices.
+        id_lists = [sorted(map(int, vset)) for vset in seen]
+        masks = np.zeros((len(id_lists), len(self.vertices)), dtype=bool)
+        for row, ids in zip(masks, id_lists):
+            row[ids] = True
+        first = self.vertices[[ids[0] for ids in id_lists]]
+        spans = np.where(masks[:, :, None],
+                         self.vertices - first[:, None, :], 0.0)
+        dims = np.linalg.matrix_rank(spans, tol=1e-9)
+        holds = ~(masks @ ~self._incidence.T)
+        faces = sorted((int(fdim), tuple(ids),
+                        tuple(map(int, np.flatnonzero(row))))
+                       for fdim, ids, row in zip(dims, id_lists, holds))
         self._faces = [
             Face(fid, ids, fdim, facets,
                  np.mean(self.functionals[list(facets)], axis=0))

@@ -4,6 +4,7 @@ import argparse
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from dataclasses import asdict
@@ -15,6 +16,8 @@ import subfinsler
 from subfinsler import certify, cli, convex, flow, polyhedra
 from subfinsler.cli import ScenarioError, load_scenario, main
 from subfinsler.polyhedra import Polyhedron, linf_ball
+
+from test_acceptance import SCENARIO_COMMANDS
 
 
 def run(*argv):
@@ -656,6 +659,36 @@ def test_rerun_is_byte_identical(tmp_path):
     for fname in ("heisenberg_vertical_trajectory.csv",
                   "heisenberg_vertical_meta.json"):
         assert (dir_a / fname).read_bytes() == (dir_b / fname).read_bytes()
+
+
+FRESH_RUN = "import sys; from subfinsler import cli; sys.exit(cli.main())"
+
+
+def test_runs_in_one_process_match_a_fresh_interpreter(tmp_path):
+    # Groups and the parser are built once per process: nothing one
+    # command leaves behind may change another's bytes.
+    runs = [(name, command, copy)
+            for name, command in SCENARIO_COMMANDS.items()
+            for copy in (0, 1)]
+    random.Random(11).shuffle(runs)
+    for name, command, copy in runs:
+        assert run(command, "--config", name, "--out",
+                   tmp_path / f"warm{copy}" / name, "--quiet") == 0, name
+    package_root = Path(subfinsler.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(package_root))
+    for name, command in SCENARIO_COMMANDS.items():
+        fresh = tmp_path / "fresh" / name
+        subprocess.run([sys.executable, "-c", FRESH_RUN, command, "--config",
+                        name, "--out", str(fresh), "--quiet"],
+                       env=env, timeout=120, check=True)
+        files = sorted(p.name for p in fresh.iterdir())
+        assert files, name
+        for copy in (0, 1):
+            warm = tmp_path / f"warm{copy}" / name
+            assert sorted(p.name for p in warm.iterdir()) == files
+            for fname in files:
+                assert ((warm / fname).read_bytes()
+                        == (fresh / fname).read_bytes()), fname
 
 
 # -- imports ---------------------------------------------------------------------

@@ -148,6 +148,36 @@ def test_gap_that_rounds_to_zero_is_no_face_switch():
                           np.tile(traj.controls[0], (len(traj.times), 1)))
 
 
+def _decaying_form(b: float, c: float, q: float) -> tuple[float, ...]:
+    """Coefficients of ``c + b e^{-rs}`` (``r**2 = q > 0``) as a form
+    ``k0 + k1 S_q + k2 C_q``: its ``e^{rs}`` term is ``k1 r + k2 = 0.0``
+    exactly in floats."""
+    r = math.sqrt(q)
+    k1 = -b * r
+    return b + c, k1, -(k1 * r)
+
+
+def test_first_rise_of_a_form_with_no_growing_term(rng):
+    # Such a form's half-angle quadratic has its root at tau = 2/r,
+    # which is s = inf; rounding must not make it a finite exit.
+    r = math.sqrt(98.99)
+    assert flow._first_rise(np.array([-21.01 / r]), np.array([21.01]),
+                            np.array([-21.01 * r]), 98.99) == math.inf
+    for _ in range(300):
+        q = float(np.exp(rng.uniform(-4.0, 6.0)))
+        b, c = -rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0)
+        # b e^{-rs} - c stays negative; b e^{-rs} + c rises through zero
+        # at s = log(-b / c) / r if it starts below zero.
+        k0, k1, k2 = (np.array([x]) for x in _decaying_form(b, -c, q))
+        assert k1 * math.sqrt(q) + k2 == 0.0
+        assert flow._first_rise(k0, k1, k2, q) == math.inf
+        k0, k1, k2 = (np.array([x]) for x in _decaying_form(b, c, q))
+        expected = (math.log(-b / c) / math.sqrt(q) if b + c < 0.0
+                    else math.inf)
+        assert flow._first_rise(k0, k1, k2, q) == pytest.approx(
+            expected, rel=1e-9, abs=1e-12)
+
+
 @pytest.mark.parametrize("lam", [[1.0, 0.2, -0.3], [1.0, -0.25, 0.1]])
 def test_rotation_cap_arc_matches_fine_rk4(lam):
     spec, norm = rotation_group(), AxisCornerNorm()

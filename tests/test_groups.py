@@ -334,6 +334,35 @@ def test_group_registry():
         group_by_name("nilpotent7")
 
 
+@pytest.mark.parametrize("name", ALL_GROUPS)
+def test_registry_builds_each_group_once(name):
+    assert group_by_name(name) is group_by_name(name)
+
+
+def test_constructors_share_the_registry_specs():
+    assert heisenberg_group() is group_by_name("heisenberg")
+    assert translation_group(2) is group_by_name("translation2")
+    quotient = heisenberg_abelianization()
+    assert quotient.source is heisenberg_group()
+    assert quotient.target is translation_group(2)
+
+
+@pytest.mark.parametrize("field", ["basis", "structure", "_flat_pinv"])
+def test_spec_arrays_are_read_only(any_group, field):
+    array = getattr(any_group, field)
+    with pytest.raises(ValueError):
+        array[(0,) * array.ndim] = 1.0
+
+
+def test_matrix_group_copies_the_basis():
+    basis = np.array(heisenberg_group().basis)
+    spec = matrix_group("copy", basis, exp_closed=_placeholder,
+                        ad_pullback=_placeholder, variety=_placeholder)
+    assert basis.flags.writeable
+    basis[0, 0, 1] = 2.0
+    assert spec.basis[0, 0, 1] == 1.0
+
+
 def test_translation_group_is_additive(rng):
     plane = translation_group(2)
     x = rng.standard_normal(2)

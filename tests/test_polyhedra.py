@@ -20,6 +20,8 @@ from subfinsler import (
     translation_group,
     verify_face_stability,
 )
+from subfinsler.cli import load_scenario
+from subfinsler.convex import as_polyhedron
 from subfinsler.flow import FaceEvent, Trajectory
 from subfinsler.polyhedra import CoveringError, _polytope_pair_distance
 
@@ -494,6 +496,53 @@ def test_delta_matches_exhaustive_lp_on_bench_balls(bench_ball):
     assert bench_ball.star_covering().delta == pytest.approx(
         exhaustive_delta(bench_ball.vertices, bench_ball.functionals),
         abs=1e-12)
+
+
+def _per_face_lattice(ball: Polyhedron) -> list[tuple]:
+    """``(fid, vertex_ids, dim, facets, witness bytes)`` of every face,
+    built one face at a time: one ``matrix_rank`` of its edges from its
+    first vertex, its facets by subset tests, its witness by ``np.mean``."""
+    facet_sets = [frozenset(np.flatnonzero(row)) for row in
+                  ball.functionals @ ball.vertices.T >= 1.0 - 1e-9]
+    seen, queue = set(facet_sets), list(facet_sets)
+    while queue:
+        current = queue.pop()
+        for facet in facet_sets:
+            inter = current & facet
+            if inter and inter not in seen:
+                seen.add(inter)
+                queue.append(inter)
+    faces = []
+    for vset in seen:
+        ids = tuple(sorted(int(i) for i in vset))
+        pts = ball.vertices[list(ids)]
+        fdim = (int(np.linalg.matrix_rank(pts[1:] - pts[0], tol=1e-9))
+                if len(ids) > 1 else 0)
+        facets = tuple(k for k, fs in enumerate(facet_sets) if vset <= fs)
+        faces.append((fdim, ids, facets))
+    faces.sort(key=lambda item: (item[0], item[1]))
+    return [(fid, ids, fdim, facets,
+             np.mean(ball.functionals[list(facets)], axis=0).tobytes())
+            for fid, (fdim, ids, facets) in enumerate(faces)]
+
+
+def _random_symmetric_ball(rng, dim: int, pairs: int) -> Polyhedron:
+    points = rng.standard_normal((pairs, dim))
+    return Polyhedron.from_vertices(np.vstack([points, -points]))
+
+
+def test_stacked_lattice_matches_the_per_face_build():
+    rng = np.random.default_rng(32)
+    balls = [ball for _, ball in BENCH_LIKE_BALLS]
+    balls += [_random_symmetric_ball(rng, dim, pairs)
+              for dim in (2, 3) for pairs in (3, 5, 9, 14)]
+    hexagon = load_scenario("hexagon_faces")
+    balls.append(as_polyhedron(hexagon.build_norm_on(hexagon.build_group())))
+    for ball in balls:
+        stacked = [(f.fid, f.vertex_ids, f.dim, f.facets, f.witness.tobytes())
+                   for f in ball.faces()]
+        assert stacked == _per_face_lattice(ball)
+        assert all(type(k) is int for f in ball.faces() for k in f.facets)
 
 
 def test_pair_bounds_are_bracketed_by_the_solvers_primal_points(
